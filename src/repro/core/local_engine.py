@@ -172,7 +172,7 @@ def _peel_threshold(
     stamp = np.zeros(n, dtype=np.int64)
     alive_count = n
     step = 0
-    g0 = state.f / n
+    g0 = state.f / n if n else 0.0  # the empty graph has density 0
     densities = [g0]
     best_g, best_step = g0, 0
     tau_max = 0.0
@@ -273,7 +273,7 @@ def _peel_heap(
     stamp = np.zeros(n, dtype=np.int64)
     alive_count = n
     step = 0
-    g0 = state.f / n
+    g0 = state.f / n if n else 0.0  # the empty graph has density 0
     densities = [g0]
     best_g, best_step = g0, 0
     tau_max = 0.0

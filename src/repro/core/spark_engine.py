@@ -1,17 +1,30 @@
 """Spark DataFrame peeling engine.
 
 The paper's parallel peeling (Algorithms 2–4) expressed as iterative
-vertex-peeling jobs over partitioned edge DataFrames — the PySpark-native
+vertex-peeling jobs over partitioned DataFrames — the PySpark-native
 rendition of "GraphX vertex-peeling jobs over partitioned edge RDDs"
 (GraphX has no Python API; Catalyst DataFrame ops are the supported
-dataflow layer). Each round:
+dataflow layer). The step structure is the one-pass-per-round MapReduce
+peeling of Bahmani, Kumar & Vassilvitskii (VLDB 2012): weights are kept
+as state and only the peeled batch's contribution is subtracted.
 
-1. aggregates per-vertex peeling weights (``groupBy`` over the symmetric
-   edge view, or DataFrame self-join clique counting for TDS/kCLiDS),
-2. computes ``f``, ``g`` and the threshold with one ``agg`` action,
-3. peels via ``filter`` + ``left_anti`` joins on the edge table,
-4. ``localCheckpoint``s vertices and edges so lineage stays flat across
-   the O(log_{1+ε}|V|) rounds.
+- **Message table**, built once and cached, hash-partitioned by the
+  vertex whose removal sends the message: half-edges ``(src, dst, c)``
+  for edge metrics, or clique roles ``(vid, v0..v{k-1})`` from a single
+  :func:`cliques_df` listing for clique metrics.
+- **Vertex-state table** ``(vid, a, w, stamp)``: ``w`` is the current
+  peeling weight, ``stamp`` the step that removed the vertex (0 while
+  alive). It is the only per-step state.
+
+A step stamps the alive vertices that meet the schedule's condition with
+a ``when`` expression, subtracts from each surviving vertex what the
+just-stamped batch contributed (its half-edges, or the cliques that die
+with it), and materialises the new table with one ``localCheckpoint``.
+The step's scalars (|S|, Σa, Σw, min and max alive ``w``, the batch size
+and its long-tail count) ride on that same job through
+``DataFrame.observe``, so the driver takes every schedule decision
+without another action; a refused LPO trim runs no job. The stamps are
+collected once, at the end.
 
 The engine accepts the same :class:`~repro.core.schedules.Schedule`
 objects as the local engine for the parallel modes (``threshold`` and
@@ -23,9 +36,10 @@ Results are bit-compatible with ``local_engine`` (same TOL conventions);
 """
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.graph import LocalGraph
@@ -103,6 +117,73 @@ def clique_weights_df(verts: DataFrame, edges: DataFrame, k: int) -> DataFrame:
     )
 
 
+def _frames(
+    spark: SparkSession, graph: LocalGraph, metric: Metric
+) -> tuple[DataFrame, DataFrame]:
+    """``(vertices, edges)`` frames with explicit schemas, so empty and
+    edgeless graphs work; edge metrics carry the metric's ``a`` and ``c``."""
+    a, c = graph.vertex_weight, graph.edge_weight
+    if metric.kind == "edge":
+        ew = metric.build(graph)
+        a, c = ew.a, ew.c
+    verts = zip(range(graph.n), np.asarray(a, dtype=np.float64).tolist())
+    edges = zip(
+        graph.src.tolist(), graph.dst.tolist(), np.asarray(c, dtype=np.float64).tolist()
+    )
+    # rows built from typed arrays, so Spark need not verify each one
+    return (
+        spark.createDataFrame(list(verts), "vid long, a double", verifySchema=False),
+        spark.createDataFrame(
+            list(edges), "src long, dst long, c double", verifySchema=False
+        ),
+    )
+
+
+def _absorb(state: DataFrame, delta: DataFrame) -> DataFrame:
+    """Add each alive vertex's ``delta`` rows ``(vid, d)`` to its ``w``.
+
+    A union and one ``groupBy`` instead of an aggregate plus a join, so
+    the state and the messages meet in a single shuffle.
+    """
+    rows = state.withColumn("d", F.lit(0.0)).unionByName(
+        delta, allowMissingColumns=True
+    )
+    return rows.groupBy("vid").agg(
+        F.max("a").alias("a"),
+        F.max("w").alias("w"),
+        F.max("stamp").alias("stamp"),
+        F.sum("d").alias("d"),
+    ).select(
+        "vid",
+        "a",
+        F.when(F.col("stamp") == 0, F.col("w") + F.col("d"))
+        .otherwise(F.col("w"))
+        .alias("w"),
+        "stamp",
+    )
+
+
+def _checkpoint(state: DataFrame, step: int, tail: float):
+    """Materialise ``state``; returns it with the step's scalars, observed
+    on the same job: alive ``n``, ``sa`` = Σa, ``sw`` = Σw, ``lo`` =
+    min ``(w, vid)``, ``hi`` = max ``w``, and ``batch`` / ``tail`` = the
+    vertices stamped ``step``, all / those with ``w > tail``."""
+    alive = F.col("stamp") == 0
+    now = F.col("stamp") == step
+    obs = Observation()
+    state = state.observe(
+        obs,
+        F.count(F.when(alive, 1)).alias("n"),
+        F.sum(F.when(alive, F.col("a"))).alias("sa"),
+        F.sum(F.when(alive, F.col("w"))).alias("sw"),
+        F.min(F.when(alive, F.struct("w", "vid"))).alias("lo"),
+        F.max(F.when(alive, F.col("w"))).alias("hi"),
+        F.count(F.when(now, 1)).alias("batch"),
+        F.count(F.when(now & (F.col("w") > tail), 1)).alias("tail"),
+    ).localCheckpoint(eager=True)
+    return state, obs.get
+
+
 def peel_spark(
     spark: SparkSession,
     graph: LocalGraph,
@@ -122,144 +203,142 @@ def peel_spark(
         )
     n0 = graph.n
     k = metric.k
+    verts, edges = _frames(spark, graph, metric)
+    # AQE cannot coalesce a cached side, so size it to the platform
+    parts = spark.sparkContext.defaultParallelism
     if metric.kind == "edge":
-        ew = metric.build(graph)
-        verts = spark.createDataFrame(
-            pd.DataFrame({"vid": np.arange(n0, dtype=np.int64), "a": ew.a})
-        )
-        edges = spark.createDataFrame(
-            pd.DataFrame({"src": graph.src, "dst": graph.dst, "c": ew.c})
-        )
+        msgs = _symmetric(edges).repartition(parts, "src").cache()
+        init = msgs.select(F.col("dst").alias("vid"), F.col("c").alias("d"))
+        w0 = F.col("a")
     else:
-        verts, edges = graph.to_spark(spark)
-    verts = verts.repartition("vid").localCheckpoint(eager=True)
-    edges = edges.repartition("src").localCheckpoint(eager=True)
+        cl = cliques_df(edges, k)
+        members = [f"v{j}" for j in range(k)]
+        msgs = reduce(
+            DataFrame.unionAll,
+            [cl.select(F.col(v).alias("vid"), *members) for v in members],
+        ).repartition(parts, "vid").cache()
+        init = msgs.select("vid", F.lit(1.0).alias("d"))
+        w0 = F.lit(0.0)
 
-    factor = k * (1.0 + schedule.eps)
-    stamp = np.zeros(n0, dtype=np.int64)
-    step = 0
-    densities: list[float] = []
-    best_g, best_step = -np.inf, 0
-    tau_max = 0.0
-    rounds = trim_rounds = long_tail = sparse = 0
+    def delta_of(state: DataFrame, step: int) -> DataFrame:
+        """``(vid, d)`` rows that the batch stamped ``step`` takes away."""
+        if metric.kind == "edge":
+            batch = state.filter(F.col("stamp") == step).select(
+                F.col("vid").alias("src")
+            )
+            return msgs.join(batch, "src").select(
+                F.col("dst").alias("vid"), (-F.col("c")).alias("d")
+            )
+        # a clique dies in the step that stamps its first member
+        stamped = state.filter(F.col("stamp") > 0).select("vid", "stamp")
+        dead = (
+            msgs.join(stamped, "vid")
+            .groupBy(*members)
+            .agg(
+                F.min("stamp").alias("first"),
+                F.collect_list("vid").alias("gone"),
+            )
+            .filter(F.col("first") == step)
+        )
+        return dead.select(
+            F.explode(F.array_except(F.array(*members), "gone")).alias("vid"),
+            F.lit(-1.0).alias("d"),
+        )
+
+    def g_of(st: dict) -> float:
+        """g of the alive set, from the observed sums."""
+        if not st["n"]:
+            return 0.0
+        sa, sw = st["sa"], st["sw"]
+        if metric.kind == "edge":
+            return (sa + (sw - sa) / 2.0) / st["n"]  # w = a + Σ incident c
+        return sw / k / st["n"]  # each live clique counts in k members' w
+
     log = WorkLog(n=n0, m=graph.m)
-    round_sets: list[np.ndarray] | None = [] if collect_round_sets else None
-
-    def weights_of(v: DataFrame, e: DataFrame) -> DataFrame:
-        if metric.kind == "edge":
-            return edge_weights_df(v, e)
-        return clique_weights_df(v, e, k)
-
-    def stats_of(wdf: DataFrame) -> tuple[int, float]:
-        """(|S|, f(S)) in one aggregate action."""
-        if metric.kind == "edge":
-            row = wdf.agg(
-                F.count(F.lit(1)).alias("n"),
-                F.sum("a").alias("sa"),
-                F.sum("wsum").alias("si"),
-            ).first()
-            n = int(row["n"])
-            f = (float(row["sa"] or 0.0) + float(row["si"] or 0.0) / 2.0) if n else 0.0
-            return n, f
-        row = wdf.agg(
-            F.count(F.lit(1)).alias("n"),
-            F.sum("a").alias("sa"),
-            F.sum("w").alias("sw"),
-        ).first()
-        n = int(row["n"])
-        # each live clique is counted k times across its members' w
-        f = (float(row["sw"] or 0.0) / k) if n else 0.0
-        return n, f
-
-    def remove(v: DataFrame, e: DataFrame, peeled: DataFrame):
-        """Anti-join the peeled set out of both tables; collect its ids."""
-        peeled = peeled.localCheckpoint(eager=True)
-        ids = np.asarray(
-            [r["vid"] for r in peeled.collect()], dtype=np.int64
+    peel_steps: list[int] = []
+    try:
+        state = verts.select(
+            "vid", "a", w0.alias("w"), F.lit(0).cast("long").alias("stamp")
         )
-        v2 = v.join(peeled, "vid", "left_anti").localCheckpoint(eager=True)
-        e2 = (
-            e.join(peeled.withColumnRenamed("vid", "src"), "src", "left_anti")
-            .join(peeled.withColumnRenamed("vid", "dst"), "dst", "left_anti")
-            .select("src", "dst", "c")
-            .localCheckpoint(eager=True)
-        )
-        return v2, e2, ids
+        state, st = _checkpoint(_absorb(state, init), 0, float("inf"))
+        densities = [g_of(st)]  # densities[s] = g after step s
 
-    wdf = weights_of(verts, edges)
-    n_alive, f = stats_of(wdf)
-    g0 = f / n_alive if n_alive else 0.0
-    densities.append(g0)
-    best_g = g0
+        def advance(cond, tail: float, phase: str) -> None:
+            """One step: stamp the alive vertices meeting ``cond``,
+            subtract their contribution, checkpoint, observe."""
+            nonlocal state, st
+            step, n_before = len(densities), st["n"]
+            if phase == "peel":
+                peel_steps.append(step)
+            state = state.withColumn(
+                "stamp",
+                F.when((F.col("stamp") == 0) & cond, F.lit(step).cast("long"))
+                .otherwise(F.col("stamp")),
+            )
+            state, st = _checkpoint(
+                _absorb(state, delta_of(state, step)), step, tail
+            )
+            log.add(n_before, st["batch"], st["batch"], phase=phase)
+            densities.append(g_of(st))
 
-    while n_alive > 0:
-        if rounds >= MAX_ROUNDS:
-            raise RuntimeError("peeling failed to terminate")
-        gcur = f / n_alive
-        if schedule.mode == "bucket":
-            wmin = float(wdf.agg(F.min("w")).first()[0])
-            peeled_df = wdf.filter(F.col("w") <= wmin + TOL).select("vid")
-        else:
-            base_tau = factor * gcur
+        factor = k * (1.0 + schedule.eps)
+        tau_max = 0.0
+        long_tail = sparse = 0
+        while st["n"] > 0:
+            if len(peel_steps) >= MAX_ROUNDS:
+                raise RuntimeError("peeling failed to terminate")
+            gcur = densities[-1]
             if schedule.gpo:
                 tau_max = max(tau_max, gcur / factor)
-                tau = max(tau_max, base_tau)
+            wmin, vmin = st["lo"]
+            if schedule.mode == "bucket":
+                thr = max(wmin, tau_max) if schedule.gpo else wmin
+                cond, tail = F.col("w") <= thr + TOL, wmin + TOL
             else:
-                tau = base_tau
-            peeled_df = wdf.filter(F.col("w") <= tau + TOL).select("vid")
+                base_tau = factor * gcur
+                tau = max(tau_max, base_tau) if schedule.gpo else base_tau
+                if wmin > tau + TOL:  # nothing under τ: peel the argmin
+                    cond = F.col("vid") == vmin
+                else:
+                    cond = F.col("w") <= tau + TOL
+                tail = base_tau + TOL
+            advance(cond, tail, "peel")
             if schedule.gpo:
-                long_tail += wdf.filter(
-                    (F.col("w") <= tau + TOL) & (F.col("w") > base_tau + TOL)
-                ).count()
-        verts, edges, peeled_ids = remove(verts, edges, peeled_df)
-        if peeled_ids.size == 0:  # float safety net: peel the argmin
-            amin = wdf.orderBy("w", "vid").limit(1).select("vid")
-            verts, edges, peeled_ids = remove(verts, edges, amin)
-        step += 1
-        rounds += 1
-        stamp[peeled_ids] = step
-        log.add(n_alive, int(peeled_ids.size), peeled_ids.size, phase="peel")
-        if round_sets is not None:
-            round_sets.append(np.sort(peeled_ids))
+                long_tail += st["tail"]
 
-        wdf = weights_of(verts, edges)
-        n_alive, f = stats_of(wdf)
-        gnew = f / n_alive if n_alive else 0.0
-        densities.append(gnew)
-        if n_alive and gnew > best_g + TOL:
-            best_g, best_step = gnew, step
-
-        if schedule.lpo:
-            while n_alive > 0:
-                gcur = f / n_alive
-                tau2 = max(tau_max, gcur)
-                trim_df = wdf.filter(F.col("w") < tau2 - TOL).select("vid")
-                verts2, edges2, trimmed = remove(verts, edges, trim_df)
-                if trimmed.size == 0 or trimmed.size == n_alive:
+            # LPO: trim w < τ₂ unless that trims nothing or empties S
+            while schedule.lpo and st["n"] > 0:
+                tau2 = max(tau_max, densities[-1])
+                if st["lo"]["w"] >= tau2 - TOL or st["hi"] < tau2 - TOL:
                     break
-                verts, edges = verts2, edges2
-                step += 1
-                trim_rounds += 1
-                sparse += trimmed.size
-                stamp[trimmed] = step
-                log.add(n_alive, int(trimmed.size), trimmed.size, phase="trim")
-                wdf = weights_of(verts, edges)
-                n_alive, f = stats_of(wdf)
-                gnew = f / n_alive if n_alive else 0.0
-                densities.append(gnew)
-                if n_alive and gnew > best_g + TOL:
-                    best_g, best_step = gnew, step
+                advance(F.col("w") < tau2 - TOL, float("inf"), "trim")
+                sparse += st["batch"]
 
-    best_set = np.flatnonzero(stamp > best_step)
+        stamp = np.zeros(n0, dtype=np.int64)
+        rows = state.select("vid", "stamp").collect()
+        if rows:
+            vid, stp = np.asarray(rows, dtype=np.int64).T
+            stamp[vid] = stp
+    finally:
+        msgs.unpersist()
+
+    best_step = 0  # the first step whose g beats every earlier one by TOL
+    for step, g in enumerate(densities):
+        if g > densities[best_step] + TOL:
+            best_step = step
     return PeelResult(
-        best_set=best_set,
-        best_density=float(best_g),
+        best_set=np.flatnonzero(stamp > best_step),
+        best_density=float(densities[best_step]),
         densities=densities,
-        n_rounds=rounds,
-        n_trim_rounds=trim_rounds,
+        n_rounds=len(peel_steps),
+        n_trim_rounds=len(densities) - 1 - len(peel_steps),
         long_tail_peeled=long_tail,
         sparse_trimmed=sparse,
         worklog=log,
         peel_stamp=stamp,
-        round_sets=round_sets,
+        round_sets=(
+            [np.flatnonzero(stamp == s) for s in peel_steps]
+            if collect_round_sets
+            else None
+        ),
     )

@@ -1,12 +1,17 @@
 """Spark engine ≡ local engine, peel-for-peel, plus DuckDB oracle checks
 on the engine's internal aggregations."""
+import uuid
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import DG, DW, FD, TDS, from_edges, kclids, peel_local, peel_spark
-from repro.core.schedules import bucket, dupin, gpo, lpo, sequential
+from repro.core.schedules import (
+    bucket, bucket_gpo, bucket_lpo, dupin, gpo, lpo, sequential,
+)
 from repro.core.spark_engine import cliques_df, edge_weights_df
+from repro.graphgen import load_dataset
 from repro.oracle import assert_equivalent
 
 
@@ -15,6 +20,28 @@ def _graph(seed, n=36, m=110):
     return from_edges(
         n, rng.integers(0, n, m), rng.integers(0, n, m),
         rng.random(m) * 3 + 0.1, vertex_weight=rng.random(n) * 0.3,
+    )
+
+
+def _core_with_leaves(seed=0):
+    """A 10-clique core (weights in [2, 4]) with 30 leaves hung on it
+    (weights in [0.5, 1.4]): under bucket GPO, τ_max takes the leaves in
+    early as a long tail."""
+    rng = np.random.default_rng(seed)
+    cs, cd = np.triu_indices(10, 1)
+    hub = rng.integers(0, 10, 30)
+    return from_edges(
+        40, np.concatenate([cs, np.arange(10, 40)]), np.concatenate([cd, hub]),
+        np.concatenate([rng.uniform(2, 4, cs.size), rng.uniform(0.5, 1.4, 30)]),
+    )
+
+
+def _heavy_tailed(seed=0, n=400, m=2000):
+    """Edge weights ``exp(N(8, 3))``: amounts spanning ~10 decades."""
+    rng = np.random.default_rng(seed)
+    return from_edges(
+        n, rng.integers(0, n, m), rng.integers(0, n, m),
+        np.exp(rng.normal(8, 3, m)),
     )
 
 
@@ -37,12 +64,19 @@ def test_spark_matches_local_dupin(spark, metric):
 
 @pytest.mark.parametrize("sched_name,sched", [
     ("gpo", gpo(0.1)), ("lpo", lpo(0.1)), ("bucket", bucket()),
+    ("bucket_gpo", bucket_gpo(0.1)), ("bucket_lpo", bucket_lpo(0.1)),
 ])
 def test_spark_matches_local_schedules(spark, sched_name, sched):
-    g = _graph(2, n=24, m=70)
+    if sched.mode == "bucket" and sched.gpo:
+        g = _core_with_leaves()
+        assert peel_local(g, DW, sched).long_tail_peeled > 0
+    else:
+        g = _graph(2, n=24, m=70)
     rl = peel_local(g, DW, sched, collect_round_sets=True)
     rs = peel_spark(spark, g, DW, sched, collect_round_sets=True)
     _assert_same(rl, rs)
+    assert rs.long_tail_peeled == rl.long_tail_peeled
+    assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
 
 
 def test_spark_matches_local_tds(spark):
@@ -57,6 +91,76 @@ def test_spark_matches_local_kclids4(spark):
     rl = peel_local(g, kclids(4), dupin(0.1), collect_round_sets=True)
     rs = peel_spark(spark, g, kclids(4), dupin(0.1), collect_round_sets=True)
     _assert_same(rl, rs)
+
+
+def test_spark_matches_local_gfg(spark):
+    """The detection benchmark's input: gfg x1, DW, DupinLPO."""
+    g = load_dataset("gfg", 1.0)
+    rl = peel_local(g, DW, lpo(0.1), collect_round_sets=True)
+    rs = peel_spark(spark, g, DW, lpo(0.1), collect_round_sets=True)
+    _assert_same(rl, rs)
+    assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
+
+
+@pytest.mark.parametrize("sched", [lpo(0.1), gpo(0.1)], ids=lambda s: s.name)
+def test_spark_matches_local_heavy_tailed(spark, sched):
+    g = _heavy_tailed()
+    rl = peel_local(g, DW, sched, collect_round_sets=True)
+    rs = peel_spark(spark, g, DW, sched, collect_round_sets=True)
+    _assert_same(rl, rs)
+    assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
+
+
+@pytest.mark.parametrize("metric", [DW, FD, TDS], ids=lambda m: m.name)
+@pytest.mark.parametrize("n", [0, 5], ids=["empty", "edgeless"])
+def test_spark_matches_local_degenerate(spark, n, metric):
+    g = from_edges(n, [], [], vertex_weight=np.arange(n, dtype=np.float64))
+    rl = peel_local(g, metric, lpo(0.1), collect_round_sets=True)
+    rs = peel_spark(spark, g, metric, lpo(0.1), collect_round_sets=True)
+    _assert_same(rl, rs)
+    assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
+    if n == 0:
+        assert rs.best_set.size == 0 and rs.best_density == 0.0
+
+
+# ---- Spark job budget ---------------------------------------------------
+
+SETUP_JOBS = 5  # message table, initial weights, final collect (measured)
+STEP_JOBS = 3  # stamp + delta + checkpoint of one step (measured, edge metrics)
+
+
+def _count_jobs(spark, fn):
+    """``(fn(), number of Spark jobs it ran)``, counted in a job group."""
+    sc = spark.sparkContext
+    group = f"job-budget-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, "job budget")
+    try:
+        res = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events are async
+    return res, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def test_spark_job_budget(spark):
+    g = _graph(1)
+    res, jobs = _count_jobs(spark, lambda: peel_spark(spark, g, DW, lpo(0.1)))
+    steps = res.n_rounds + res.n_trim_rounds
+    assert res.n_trim_rounds > 0
+    assert jobs <= SETUP_JOBS + STEP_JOBS * steps
+
+
+def test_spark_refused_trim_runs_no_job(spark):
+    """K6 plus a disjoint triangle: the triangle peels, then LPO's trim of
+    the K6 is refused (it would trim nothing) and must cost no job."""
+    iu, ju = np.triu_indices(6, 1)
+    g = from_edges(9, [*iu, 6, 6, 7], [*ju, 7, 8, 8])
+    rl, lpo_jobs = _count_jobs(spark, lambda: peel_spark(spark, g, DG, lpo(0.1)))
+    rg, gpo_jobs = _count_jobs(spark, lambda: peel_spark(spark, g, DG, gpo(0.1)))
+    assert rl.n_rounds == rg.n_rounds == 2 and rl.n_trim_rounds == 0
+    assert np.array_equal(rl.peel_stamp, rg.peel_stamp)
+    assert lpo_jobs == gpo_jobs
 
 
 def test_spark_rejects_sequential(spark):
