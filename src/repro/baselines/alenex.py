@@ -11,9 +11,9 @@ large round count makes it slower than GBBS but far faster than FWA
 from __future__ import annotations
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import PeelResult, peel_local
+from repro.core.local_engine import peel_local
 from repro.core.metrics import Metric
-from repro.core.schedules import alenex
+from repro.core.schedules import PeelResult, alenex
 
 
 def alenex_run(graph: LocalGraph, metric: Metric, eps: float = 0.01) -> PeelResult:

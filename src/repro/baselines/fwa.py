@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import PeelResult
 from repro.core.metrics import EdgeWeights, Metric
+from repro.core.schedules import PeelResult
 from repro.core.worklog import WorkLog
 
 N_ITERS_UNWEIGHTED = 400

@@ -11,9 +11,9 @@ from the measured schedule.
 from __future__ import annotations
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import PeelResult, peel_local
+from repro.core.local_engine import peel_local
 from repro.core.metrics import Metric
-from repro.core.schedules import bucket
+from repro.core.schedules import PeelResult, bucket
 
 
 def gbbs_run(graph: LocalGraph, metric: Metric) -> PeelResult:

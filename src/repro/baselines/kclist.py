@@ -9,9 +9,9 @@ are span-bound — the bottleneck the paper exploits.
 from __future__ import annotations
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import PeelResult, peel_local
+from repro.core.local_engine import peel_local
 from repro.core.metrics import Metric
-from repro.core.schedules import sequential
+from repro.core.schedules import PeelResult, sequential
 
 
 # kCLIST re-lists cliques around each removed vertex instead of keeping

@@ -8,9 +8,9 @@ graphs — the simmachine extrapolation reproduces that blow-up.
 from __future__ import annotations
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import PeelResult, peel_local
+from repro.core.local_engine import peel_local
 from repro.core.metrics import Metric
-from repro.core.schedules import bucket
+from repro.core.schedules import PeelResult, bucket
 
 
 # PBBS's bucketed clique peeling recomputes counts over the frontier's

@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import TOL, PeelResult, make_state
+from repro.core.local_engine import make_state
 from repro.core.metrics import Metric
+from repro.core.schedules import TOL, PeelResult
 from repro.core.worklog import WorkLog
 
 N_LEVELS = 32

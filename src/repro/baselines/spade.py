@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.graph import LocalGraph, from_edges
-from repro.core.local_engine import PeelResult, peel_local
+from repro.core.local_engine import peel_local
 from repro.core.metrics import FD_LOG_OFFSET, Metric
-from repro.core.schedules import sequential
+from repro.core.schedules import PeelResult, sequential
 
 BATCH_SIZE = 1_000
 

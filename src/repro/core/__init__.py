@@ -6,9 +6,10 @@ and a NumPy reference) executes every schedule for every metric.
 """
 from repro.core.api import Dupin
 from repro.core.graph import LocalGraph, from_edges
-from repro.core.local_engine import PeelResult, peel_local
+from repro.core.local_engine import peel_local
 from repro.core.metrics import DG, DW, FD, TDS, by_name, custom_metric, kclids
 from repro.core.schedules import (
+    PeelResult,
     Schedule,
     alenex,
     bucket,

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core import metrics as M
 from repro.core import schedules
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import PeelResult, peel_local
+from repro.core.local_engine import peel_local
+from repro.core.schedules import PeelResult
 from repro.core.spark_engine import peel_spark
 
 
@@ -99,10 +99,6 @@ class Dupin:
         if self._backend == "local":
             return peel_local(self._graph, metric, sched)
         return peel_spark(self._spark, self._graph, metric, sched)
-
-    def fraudsters(self) -> np.ndarray:
-        """Convenience: vertex ids of the detected community."""
-        return self.ParDetect().best_set
 
     def _resolve_metric(self) -> M.Metric:
         if self._metric is not None:

@@ -6,39 +6,26 @@ machine simulator. The Spark engine (``spark_engine``) implements the same
 algorithms as DataFrame jobs; tests assert the two produce identical
 peeling decisions.
 
-Numerical convention: thresholds use ``w <= τ + TOL`` (Algorithms 2/3) and
-the LPO trim uses strict ``w < τ₂ - TOL`` (Algorithm 4), with
-``TOL = 1e-9``, so both engines agree bit-for-bit on the peel sets.
+The schedule loop is :func:`repro.core.schedules.peel`; this module
+supplies its state. ``_EdgeState`` (DG/DW/FD) and ``_CliqueState``
+(TDS/kCLiDS) keep the weights ``w`` and ``f`` under removal. A selection
+wrapper adds the driver's members ``n``, ``g``, ``lo()``, ``hi()``,
+``remove()`` and ``stamps()``: threshold schedules select with one
+vectorised mask over the alive vertices (``_Scan``), bucket and
+sequential schedules with a lazy min-heap (``_Heap``), so a bucket round
+costs its bucket, not a full scan.
 """
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
 from repro.core.graph import LocalGraph
 from repro.core.metrics import CliqueWeights, EdgeWeights, Metric
-from repro.core.schedules import Schedule
+from repro.core.schedules import TOL, PeelResult, Schedule, peel
 from repro.core.worklog import WorkLog
-
-TOL = 1e-9
-
-
-@dataclass
-class PeelResult:
-    """Outcome of one peeling run."""
-
-    best_set: np.ndarray  # vertex ids of argmax_{S_i} g(S_i)
-    best_density: float
-    densities: list[float]  # g after every removal batch, densities[0] = g(V)
-    n_rounds: int  # outer peeling rounds (the paper's round counts)
-    n_trim_rounds: int  # LPO inner-loop rounds
-    long_tail_peeled: int  # vertices peeled only because of τ_max (GPO)
-    sparse_trimmed: int  # vertices trimmed by the LPO inner loop
-    worklog: WorkLog = field(repr=False)
-    peel_stamp: np.ndarray = field(repr=False)  # batch index when removed
-    round_sets: list[np.ndarray] | None = field(default=None, repr=False)
 
 
 class _EdgeState:
@@ -144,7 +131,102 @@ def make_state(graph: LocalGraph, metric: Metric):
     return _CliqueState(graph, weights, metric.k)
 
 
-_make_state = make_state
+class _Scan:
+    """Threshold selection: each step masks every alive vertex at once."""
+
+    def __init__(self, state, n: int):
+        self.state = state
+        self.stamp = np.zeros(n, dtype=np.int64)
+        self.n = n
+
+    @property
+    def g(self) -> float:
+        return self.state.f / self.n if self.n else 0.0  # empty: density 0
+
+    def lo(self) -> tuple[float, int]:
+        wv = np.where(self.stamp == 0, self.state.w, np.inf)
+        v = int(np.argmin(wv))
+        return float(wv[v]), v
+
+    def hi(self) -> float:
+        return float(self.state.w[self.stamp == 0].max())
+
+    def remove(self, step, le=None, lt=None, vid=None, tail=math.inf):
+        w = self.state.w
+        if vid is not None:
+            batch = np.array([vid], dtype=np.int64)
+        elif le is not None:
+            batch = np.flatnonzero((self.stamp == 0) & (w <= le))
+        else:
+            batch = np.flatnonzero((self.stamp == 0) & (w < lt))
+        return self._drop(batch, step, int((w[batch] > tail).sum()))
+
+    def _drop(self, batch: np.ndarray, step: int, n_tail: int):
+        self.stamp[batch] = step
+        updates = self.state.remove(batch, self.stamp, step)
+        self.n -= batch.size
+        return batch.size, n_tail, updates
+
+    def stamps(self) -> np.ndarray:
+        return self.stamp
+
+
+class _Heap(_Scan):
+    """Bucket and sequential selection through a lazy min-heap.
+
+    O((V+E)·log V) in total, matching the data structures the compared
+    systems actually use — the per-round cost is bucket-local, *not* a
+    full vertex scan (this is why GBBS rounds are cheap but numerous on
+    weighted graphs). Entries are ``(w, vid)``; one whose vertex is gone
+    or whose weight moved by more than TOL is stale and skipped.
+    """
+
+    def __init__(self, state, n: int):
+        super().__init__(state, n)
+        self.heap = [(float(state.w[v]), v) for v in range(n)]
+        heapq.heapify(self.heap)
+
+    def _top(self) -> tuple[float, int] | None:
+        """The first valid entry, popping stale ones on the way."""
+        heap, stamp, w = self.heap, self.stamp, self.state.w
+        while heap:
+            wv, v = heap[0]
+            if stamp[v] != 0 or abs(wv - w[v]) > TOL:
+                heapq.heappop(heap)
+                continue
+            return wv, v
+        return None
+
+    def lo(self) -> tuple[float, int]:
+        top = self._top()
+        if top is None:  # all remaining entries stale: rebuild
+            self.heap = [
+                (float(self.state.w[v]), v) for v in np.flatnonzero(self.stamp == 0)
+            ]
+            heapq.heapify(self.heap)
+            top = self._top()
+        return top
+
+    def remove(self, step, le=None, lt=None, vid=None, tail=math.inf):
+        if vid is not None:
+            return super().remove(step, vid=vid, tail=tail)
+        batch: list[int] = []
+        n_tail = 0
+        while (top := self._top()) is not None and (
+            top[0] <= le if lt is None else top[0] < lt
+        ):
+            heapq.heappop(self.heap)
+            batch.append(top[1])
+            n_tail += top[0] > tail
+        return self._drop(np.asarray(batch, dtype=np.int64), step, n_tail)
+
+    def _drop(self, batch: np.ndarray, step: int, n_tail: int):
+        self.stamp[batch] = step  # touched() skips the batch by its stamp
+        touched = self.state.touched(batch, self.stamp)
+        out = super()._drop(batch, step, n_tail)
+        for entry in zip(self.state.w[touched].tolist(), touched.tolist()):
+            heapq.heappush(self.heap, entry)
+        return out
 
 
 def peel_local(
@@ -154,228 +236,10 @@ def peel_local(
     collect_round_sets: bool = False,
 ) -> PeelResult:
     """Run one peeling schedule on one graph; see module docstring."""
-    if schedule.mode in ("sequential", "bucket"):
-        return _peel_heap(graph, metric, schedule, collect_round_sets)
-    return _peel_threshold(graph, metric, schedule, collect_round_sets)
-
-
-def _peel_threshold(
-    graph: LocalGraph, metric: Metric, sched: Schedule, collect: bool
-) -> PeelResult:
-    """Algorithms 2 (dupin), 3 (+gpo), 4 (+gpo+lpo); also ALENEX-style."""
-    n, k = graph.n, metric.k
-    state = _make_state(graph, metric)
-    log = WorkLog(n=n, m=graph.m)
+    state = make_state(graph, metric)
+    log = WorkLog(n=graph.n, m=graph.m)
     if metric.kind == "clique":
         # enumeration cost ~ k·|E|·α(G)^(k-2); charge the materialized size
         log.init_work = float(state.cliques.size)
-    stamp = np.zeros(n, dtype=np.int64)
-    alive_count = n
-    step = 0
-    g0 = state.f / n if n else 0.0  # the empty graph has density 0
-    densities = [g0]
-    best_g, best_step = g0, 0
-    tau_max = 0.0
-    factor = k * (1.0 + sched.eps)
-    rounds = trim_rounds = long_tail = sparse = 0
-    round_sets: list[np.ndarray] | None = [] if collect else None
-
-    while alive_count > 0:
-        gcur = state.f / alive_count
-        base_tau = factor * gcur
-        if sched.gpo:
-            tau_max = max(tau_max, gcur / factor)
-            tau = max(tau_max, base_tau)
-        else:
-            tau = base_tau
-        alive = stamp == 0
-        batch_mask = alive & (state.w <= tau + TOL)
-        if not batch_mask.any():  # float safety net: peel the argmin
-            wv = np.where(alive, state.w, np.inf)
-            batch_mask = np.zeros(n, dtype=bool)
-            batch_mask[int(np.argmin(wv))] = True
-        if sched.gpo:
-            long_tail += int((batch_mask & (state.w > base_tau + TOL)).sum())
-        batch = np.flatnonzero(batch_mask)
-        step += 1
-        rounds += 1
-        stamp[batch] = step
-        updates = state.remove(batch, stamp, step)
-        scanned = alive_count
-        if sched.round_sort:
-            # ALENEX-style machinery: full re-sort + edge pass per round
-            scanned += int(n * np.log2(max(n, 2)) + graph.m)
-        log.add(scanned, updates, batch.size, phase="peel")
-        if round_sets is not None:
-            round_sets.append(batch)
-        alive_count -= batch.size
-        gnew = state.f / alive_count if alive_count else float("-inf")
-        densities.append(gnew if alive_count else 0.0)
-        if alive_count and gnew > best_g + TOL:
-            best_g, best_step = gnew, step
-
-        if sched.lpo:
-            while alive_count > 0:
-                gcur = state.f / alive_count
-                tau2 = max(tau_max, gcur)
-                alive = stamp == 0
-                trim_mask = alive & (state.w < tau2 - TOL)
-                n_trim = int(trim_mask.sum())
-                if n_trim == 0 or n_trim == alive_count:
-                    break
-                trim = np.flatnonzero(trim_mask)
-                step += 1
-                trim_rounds += 1
-                sparse += n_trim
-                stamp[trim] = step
-                updates = state.remove(trim, stamp, step)
-                log.add(alive_count, updates, n_trim, phase="trim")
-                alive_count -= n_trim
-                gnew = state.f / alive_count
-                densities.append(gnew)
-                if gnew > best_g + TOL:
-                    best_g, best_step = gnew, step
-
-    best_set = np.flatnonzero(stamp > best_step)
-    return PeelResult(
-        best_set=best_set,
-        best_density=best_g,
-        densities=densities,
-        n_rounds=rounds,
-        n_trim_rounds=trim_rounds,
-        long_tail_peeled=long_tail,
-        sparse_trimmed=sparse,
-        worklog=log,
-        peel_stamp=stamp,
-        round_sets=round_sets,
-    )
-
-
-def _peel_heap(
-    graph: LocalGraph, metric: Metric, sched: Schedule, collect: bool
-) -> PeelResult:
-    """Sequential (Algorithm 1) and bucket (GBBS-style) peeling.
-
-    A lazy min-heap yields O((V+E)·log V) total, matching the data
-    structures the compared systems actually use — the per-round cost is
-    bucket-local, *not* a full vertex scan (this is why GBBS rounds are
-    cheap but numerous on weighted graphs).
-    """
-    n = graph.n
-    state = _make_state(graph, metric)
-    log = WorkLog(n=n, m=graph.m)
-    log.init_sequential = 0.0
-    if metric.kind == "clique":
-        log.init_work = float(state.cliques.size)
-    is_seq = sched.mode == "sequential"
-    k = metric.k
-    factor = k * (1.0 + sched.eps)
-    stamp = np.zeros(n, dtype=np.int64)
-    alive_count = n
-    step = 0
-    g0 = state.f / n if n else 0.0  # the empty graph has density 0
-    densities = [g0]
-    best_g, best_step = g0, 0
-    tau_max = 0.0
-    heap: list[tuple[float, int]] = [(float(state.w[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    rounds = trim_rounds = long_tail = sparse = 0
-    round_sets: list[np.ndarray] | None = [] if collect else None
-
-    def _pop_valid() -> tuple[float, int] | None:
-        while heap:
-            wv, v = heap[0]
-            if stamp[v] != 0 or abs(wv - state.w[v]) > TOL:
-                heapq.heappop(heap)
-                continue
-            return wv, v
-        return None
-
-    while alive_count > 0:
-        top = _pop_valid()
-        if top is None:  # all remaining entries stale: rebuild
-            heap = [
-                (float(state.w[v]), v) for v in np.flatnonzero(stamp == 0)
-            ]
-            heapq.heapify(heap)
-            top = _pop_valid()
-            assert top is not None
-        wmin, _ = top
-        if sched.gpo:
-            tau_max = max(tau_max, (state.f / alive_count) / factor)
-        thr = max(wmin, tau_max) if sched.gpo else wmin
-        batch_list: list[int] = []
-        while True:
-            nxt = _pop_valid()
-            if nxt is None or (not is_seq and nxt[0] > thr + TOL):
-                break
-            if is_seq and batch_list:
-                break
-            heapq.heappop(heap)
-            batch_list.append(nxt[1])
-            if sched.gpo and nxt[0] > wmin + TOL:
-                long_tail += 1  # pulled in early by the global threshold
-        batch = np.asarray(batch_list, dtype=np.int64)
-        step += 1
-        rounds += 1
-        stamp[batch] = step
-        touched = state.touched(batch, stamp)
-        updates = state.remove(batch, stamp, step)
-        for v in touched:
-            heapq.heappush(heap, (float(state.w[v]), int(v)))
-        log.add(batch.size, updates, batch.size, sequential=is_seq,
-                bucket=not is_seq)
-        if round_sets is not None:
-            round_sets.append(batch)
-        alive_count -= batch.size
-        gnew = state.f / alive_count if alive_count else float("-inf")
-        densities.append(gnew if alive_count else 0.0)
-        if alive_count and gnew > best_g + TOL:
-            best_g, best_step = gnew, step
-
-        if sched.lpo:
-            # LPO trim loop at bucket granularity: strip vertices whose
-            # weight fell below max(τ_max, g(S)) before the next round.
-            while alive_count > 0:
-                thr2 = max(tau_max, state.f / alive_count)
-                trim_list: list[int] = []
-                while True:
-                    nxt = _pop_valid()
-                    if nxt is None or nxt[0] >= thr2 - TOL:
-                        break
-                    heapq.heappop(heap)
-                    trim_list.append(nxt[1])
-                if not trim_list or len(trim_list) == alive_count:
-                    for v in trim_list:  # refused batch: restore entries
-                        heapq.heappush(heap, (float(state.w[v]), v))
-                    break
-                trim = np.asarray(trim_list, dtype=np.int64)
-                step += 1
-                trim_rounds += 1
-                sparse += trim.size
-                stamp[trim] = step
-                touched = state.touched(trim, stamp)
-                updates = state.remove(trim, stamp, step)
-                for v in touched:
-                    heapq.heappush(heap, (float(state.w[v]), int(v)))
-                log.add(trim.size, updates, trim.size, phase="trim",
-                        bucket=True)
-                alive_count -= trim.size
-                gnew = state.f / alive_count
-                densities.append(gnew)
-                if gnew > best_g + TOL:
-                    best_g, best_step = gnew, step
-
-    best_set = np.flatnonzero(stamp > best_step)
-    return PeelResult(
-        best_set=best_set,
-        best_density=best_g,
-        densities=densities,
-        n_rounds=rounds,
-        n_trim_rounds=trim_rounds,
-        long_tail_peeled=long_tail,
-        sparse_trimmed=sparse,
-        worklog=log,
-        peel_stamp=stamp,
-        round_sets=round_sets,
-    )
+    select = _Scan if schedule.mode == "threshold" else _Heap
+    return peel(select(state, graph.n), schedule, metric.k, log, collect_round_sets)

@@ -16,22 +16,24 @@ as state and only the peeled batch's contribution is subtracted.
   peeling weight, ``stamp`` the step that removed the vertex (0 while
   alive). It is the only per-step state.
 
-A step stamps the alive vertices that meet the schedule's condition with
-a ``when`` expression, subtracts from each surviving vertex what the
+The schedule loop is :func:`repro.core.schedules.peel`; ``_SparkState``
+gives it the six members it asks of a state. ``remove`` is one step: it
+stamps the alive vertices that meet the driver's condition with a
+``when`` expression, subtracts from each surviving vertex what the
 just-stamped batch contributed (its half-edges, or the cliques that die
 with it), and materialises the new table with one ``localCheckpoint``.
 The step's scalars (|S|, Σa, Σw, min and max alive ``w``, the batch size
 and its long-tail count) ride on that same job through
-``DataFrame.observe``, so the driver takes every schedule decision
-without another action; a refused LPO trim runs no job. The stamps are
-collected once, at the end.
+``DataFrame.observe``, so ``n``, ``g``, ``lo()`` and ``hi()`` read them
+without another action; a refused LPO trim runs no job. ``stamps()``
+collects the stamps once, at the end.
 
 The engine accepts the same :class:`~repro.core.schedules.Schedule`
 objects as the local engine for the parallel modes (``threshold`` and
 ``bucket``); sequential schedules are inherently single-vertex-per-step
 and stay on the local engine (see DESIGN.md §4).
 
-Results are bit-compatible with ``local_engine`` (same TOL conventions);
+Results are bit-compatible with ``local_engine`` (one driver, one TOL);
 ``tests/test_spark_engine.py`` asserts identical peel sets per round.
 """
 from __future__ import annotations
@@ -43,12 +45,9 @@ from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import TOL, PeelResult
 from repro.core.metrics import Metric
-from repro.core.schedules import Schedule
+from repro.core.schedules import PeelResult, Schedule, peel
 from repro.core.worklog import WorkLog
-
-MAX_ROUNDS = 100_000  # safety valve: R < log_{1+eps}|V| in theory
 
 
 def _symmetric(edges: DataFrame) -> DataFrame:
@@ -184,6 +183,111 @@ def _checkpoint(state: DataFrame, step: int, tail: float):
     return state, obs.get
 
 
+class _SparkState:
+    """The driver's peeling state over the vertex-state table; every
+    member but :meth:`remove` and :meth:`stamps` reads the scalars
+    observed on the last checkpoint, so it runs no Spark job."""
+
+    def __init__(self, spark: SparkSession, graph: LocalGraph, metric: Metric):
+        self.k, self.kind, self.n0 = metric.k, metric.kind, graph.n
+        verts, edges = _frames(spark, graph, metric)
+        # AQE cannot coalesce a cached side, so size it to the platform
+        parts = spark.sparkContext.defaultParallelism
+        if metric.kind == "edge":
+            self.msgs = _symmetric(edges).repartition(parts, "src").cache()
+            init = self.msgs.select(F.col("dst").alias("vid"), F.col("c").alias("d"))
+            w0 = F.col("a")
+        else:
+            cl = cliques_df(edges, self.k)
+            self.members = [f"v{j}" for j in range(self.k)]
+            self.msgs = reduce(
+                DataFrame.unionAll,
+                [cl.select(F.col(v).alias("vid"), *self.members) for v in self.members],
+            ).repartition(parts, "vid").cache()
+            init = self.msgs.select("vid", F.lit(1.0).alias("d"))
+            w0 = F.lit(0.0)
+        state = verts.select(
+            "vid", "a", w0.alias("w"), F.lit(0).cast("long").alias("stamp")
+        )
+        try:
+            self.state, self.st = _checkpoint(_absorb(state, init), 0, float("inf"))
+        except BaseException:
+            self.msgs.unpersist()
+            raise
+
+    @property
+    def n(self) -> int:
+        return self.st["n"]
+
+    @property
+    def g(self) -> float:
+        """g of the alive set, from the observed sums."""
+        if not self.st["n"]:
+            return 0.0
+        sa, sw = self.st["sa"], self.st["sw"]
+        if self.kind == "edge":
+            return (sa + (sw - sa) / 2.0) / self.st["n"]  # w = a + Σ incident c
+        return sw / self.k / self.st["n"]  # each live clique counts in k members' w
+
+    def lo(self) -> tuple[float, int]:
+        return self.st["lo"]  # a Row (w, vid)
+
+    def hi(self) -> float:
+        return self.st["hi"]
+
+    def remove(self, step, le=None, lt=None, vid=None, tail=float("inf")):
+        """One step: stamp the alive vertices meeting the condition,
+        subtract their contribution, checkpoint, observe."""
+        if vid is not None:
+            cond = F.col("vid") == vid
+        elif le is not None:
+            cond = F.col("w") <= le
+        else:
+            cond = F.col("w") < lt
+        state = self.state.withColumn(
+            "stamp",
+            F.when((F.col("stamp") == 0) & cond, F.lit(step).cast("long"))
+            .otherwise(F.col("stamp")),
+        )
+        self.state, self.st = _checkpoint(
+            _absorb(state, self._delta(state, step)), step, tail
+        )
+        return self.st["batch"], self.st["tail"], self.st["batch"]
+
+    def _delta(self, state: DataFrame, step: int) -> DataFrame:
+        """``(vid, d)`` rows that the batch stamped ``step`` takes away."""
+        if self.kind == "edge":
+            batch = state.filter(F.col("stamp") == step).select(
+                F.col("vid").alias("src")
+            )
+            return self.msgs.join(batch, "src").select(
+                F.col("dst").alias("vid"), (-F.col("c")).alias("d")
+            )
+        # a clique dies in the step that stamps its first member
+        stamped = state.filter(F.col("stamp") > 0).select("vid", "stamp")
+        dead = (
+            self.msgs.join(stamped, "vid")
+            .groupBy(*self.members)
+            .agg(
+                F.min("stamp").alias("first"),
+                F.collect_list("vid").alias("gone"),
+            )
+            .filter(F.col("first") == step)
+        )
+        return dead.select(
+            F.explode(F.array_except(F.array(*self.members), "gone")).alias("vid"),
+            F.lit(-1.0).alias("d"),
+        )
+
+    def stamps(self) -> np.ndarray:
+        stamp = np.zeros(self.n0, dtype=np.int64)
+        rows = self.state.select("vid", "stamp").collect()
+        if rows:
+            vid, stp = np.asarray(rows, dtype=np.int64).T
+            stamp[vid] = stp
+        return stamp
+
+
 def peel_spark(
     spark: SparkSession,
     graph: LocalGraph,
@@ -201,144 +305,11 @@ def peel_spark(
             "sequential schedules are span-bound by definition; "
             "run them on the local engine (DESIGN.md §4)"
         )
-    n0 = graph.n
-    k = metric.k
-    verts, edges = _frames(spark, graph, metric)
-    # AQE cannot coalesce a cached side, so size it to the platform
-    parts = spark.sparkContext.defaultParallelism
-    if metric.kind == "edge":
-        msgs = _symmetric(edges).repartition(parts, "src").cache()
-        init = msgs.select(F.col("dst").alias("vid"), F.col("c").alias("d"))
-        w0 = F.col("a")
-    else:
-        cl = cliques_df(edges, k)
-        members = [f"v{j}" for j in range(k)]
-        msgs = reduce(
-            DataFrame.unionAll,
-            [cl.select(F.col(v).alias("vid"), *members) for v in members],
-        ).repartition(parts, "vid").cache()
-        init = msgs.select("vid", F.lit(1.0).alias("d"))
-        w0 = F.lit(0.0)
-
-    def delta_of(state: DataFrame, step: int) -> DataFrame:
-        """``(vid, d)`` rows that the batch stamped ``step`` takes away."""
-        if metric.kind == "edge":
-            batch = state.filter(F.col("stamp") == step).select(
-                F.col("vid").alias("src")
-            )
-            return msgs.join(batch, "src").select(
-                F.col("dst").alias("vid"), (-F.col("c")).alias("d")
-            )
-        # a clique dies in the step that stamps its first member
-        stamped = state.filter(F.col("stamp") > 0).select("vid", "stamp")
-        dead = (
-            msgs.join(stamped, "vid")
-            .groupBy(*members)
-            .agg(
-                F.min("stamp").alias("first"),
-                F.collect_list("vid").alias("gone"),
-            )
-            .filter(F.col("first") == step)
-        )
-        return dead.select(
-            F.explode(F.array_except(F.array(*members), "gone")).alias("vid"),
-            F.lit(-1.0).alias("d"),
-        )
-
-    def g_of(st: dict) -> float:
-        """g of the alive set, from the observed sums."""
-        if not st["n"]:
-            return 0.0
-        sa, sw = st["sa"], st["sw"]
-        if metric.kind == "edge":
-            return (sa + (sw - sa) / 2.0) / st["n"]  # w = a + Σ incident c
-        return sw / k / st["n"]  # each live clique counts in k members' w
-
-    log = WorkLog(n=n0, m=graph.m)
-    peel_steps: list[int] = []
+    state = _SparkState(spark, graph, metric)
     try:
-        state = verts.select(
-            "vid", "a", w0.alias("w"), F.lit(0).cast("long").alias("stamp")
+        return peel(
+            state, schedule, metric.k, WorkLog(n=graph.n, m=graph.m),
+            collect_round_sets,
         )
-        state, st = _checkpoint(_absorb(state, init), 0, float("inf"))
-        densities = [g_of(st)]  # densities[s] = g after step s
-
-        def advance(cond, tail: float, phase: str) -> None:
-            """One step: stamp the alive vertices meeting ``cond``,
-            subtract their contribution, checkpoint, observe."""
-            nonlocal state, st
-            step, n_before = len(densities), st["n"]
-            if phase == "peel":
-                peel_steps.append(step)
-            state = state.withColumn(
-                "stamp",
-                F.when((F.col("stamp") == 0) & cond, F.lit(step).cast("long"))
-                .otherwise(F.col("stamp")),
-            )
-            state, st = _checkpoint(
-                _absorb(state, delta_of(state, step)), step, tail
-            )
-            log.add(n_before, st["batch"], st["batch"], phase=phase)
-            densities.append(g_of(st))
-
-        factor = k * (1.0 + schedule.eps)
-        tau_max = 0.0
-        long_tail = sparse = 0
-        while st["n"] > 0:
-            if len(peel_steps) >= MAX_ROUNDS:
-                raise RuntimeError("peeling failed to terminate")
-            gcur = densities[-1]
-            if schedule.gpo:
-                tau_max = max(tau_max, gcur / factor)
-            wmin, vmin = st["lo"]
-            if schedule.mode == "bucket":
-                thr = max(wmin, tau_max) if schedule.gpo else wmin
-                cond, tail = F.col("w") <= thr + TOL, wmin + TOL
-            else:
-                base_tau = factor * gcur
-                tau = max(tau_max, base_tau) if schedule.gpo else base_tau
-                if wmin > tau + TOL:  # nothing under τ: peel the argmin
-                    cond = F.col("vid") == vmin
-                else:
-                    cond = F.col("w") <= tau + TOL
-                tail = base_tau + TOL
-            advance(cond, tail, "peel")
-            if schedule.gpo:
-                long_tail += st["tail"]
-
-            # LPO: trim w < τ₂ unless that trims nothing or empties S
-            while schedule.lpo and st["n"] > 0:
-                tau2 = max(tau_max, densities[-1])
-                if st["lo"]["w"] >= tau2 - TOL or st["hi"] < tau2 - TOL:
-                    break
-                advance(F.col("w") < tau2 - TOL, float("inf"), "trim")
-                sparse += st["batch"]
-
-        stamp = np.zeros(n0, dtype=np.int64)
-        rows = state.select("vid", "stamp").collect()
-        if rows:
-            vid, stp = np.asarray(rows, dtype=np.int64).T
-            stamp[vid] = stp
     finally:
-        msgs.unpersist()
-
-    best_step = 0  # the first step whose g beats every earlier one by TOL
-    for step, g in enumerate(densities):
-        if g > densities[best_step] + TOL:
-            best_step = step
-    return PeelResult(
-        best_set=np.flatnonzero(stamp > best_step),
-        best_density=float(densities[best_step]),
-        densities=densities,
-        n_rounds=len(peel_steps),
-        n_trim_rounds=len(densities) - 1 - len(peel_steps),
-        long_tail_peeled=long_tail,
-        sparse_trimmed=sparse,
-        worklog=log,
-        peel_stamp=stamp,
-        round_sets=(
-            [np.flatnonzero(stamp == s) for s in peel_steps]
-            if collect_round_sets
-            else None
-        ),
-    )
+        state.msgs.unpersist()

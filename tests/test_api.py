@@ -102,16 +102,11 @@ def test_api_validation_errors(graph):
         d.setEpsilon(-1)
 
 
-def test_fraudsters_convenience(graph):
-    d = Dupin(backend="local").setMetric("DW").LoadGraph(graph)
-    assert set(d.fraudsters().tolist()) == set(d.ParDetect().best_set.tolist())
-
-
 def test_detected_community_overlaps_planted_fraud():
     g = chung_lu_with_communities(
         600, 2400, n_communities=1, community_size=25, seed=101
     )
     d = Dupin(backend="local").setMetric("DW").LoadGraph(g)
-    found = set(d.fraudsters().tolist())
+    found = set(d.ParDetect().best_set.tolist())
     plant = set(np.flatnonzero(g.labels["fraud_community"] == 0).tolist())
     assert len(found & plant) / len(plant) >= 0.7

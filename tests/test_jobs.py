@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from jobs import dupin_detect, table2
-from jobs._common import rows_to_df
+from jobs import dupin_detect, table
+from jobs.table import rows_to_df
 
 
 def test_rows_to_df_stringifies_mixed_columns(spark):
@@ -15,9 +15,14 @@ def test_rows_to_df_stringifies_mixed_columns(spark):
 
 
 def test_table2_job_run(spark):
-    df = table2.run(spark)
+    df = table.run(spark, "table2")
     assert df.count() == 8
     assert "System" in df.columns
+
+
+def test_table_job_rejects_unknown_name(spark):
+    with pytest.raises(ValueError, match="table1"):
+        table.run(spark, "table1")
 
 
 def test_dupin_detect_job(spark):

@@ -1,13 +1,11 @@
 """DuckDB-oracle checks for the Spark aggregations the reproduction relies
-on, plus sanity checks that the provided TPC-H-lite generators integrate
-with the oracle (per the project brief, every query-result check routes
-through ``repro.oracle.assert_equivalent``)."""
+on (every query-result check routes through
+``repro.oracle.assert_equivalent``)."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.core.graph import from_edges
 from repro.oracle import assert_equivalent
 
@@ -82,50 +80,6 @@ def test_induced_subgraph_weight_oracle(spark, gdfs):
         """,
         edges=edges,
         members=members,
-    )
-
-
-def test_tpch_lite_lineitem_aggregation_oracle(spark):
-    """The provided TPC-H-lite generator works with the oracle end-to-end
-    (deterministic input, grouped aggregate, identical rows)."""
-    li = synth_data.lineitem(spark, sf=0.001, seed=0)
-    li_pd = li.toPandas()
-    out = (
-        li.groupBy("l_returnflag")
-        .agg(
-            F.count(F.lit(1)).alias("n"),
-            F.round(F.sum("l_quantity"), 3).alias("qty"),
-        )
-    )
-    assert_equivalent(
-        out,
-        """
-        SELECT l_returnflag, COUNT(*) AS n, ROUND(SUM(l_quantity), 3) AS qty
-        FROM lineitem GROUP BY l_returnflag
-        """,
-        lineitem=li_pd,
-    )
-
-
-def test_tpch_lite_join_oracle(spark):
-    """Shuffle-join path (broadcast disabled in the fixture) vs DuckDB."""
-    li = synth_data.lineitem(spark, sf=0.001, seed=0)
-    orders = synth_data.orders(spark, sf=0.001, seed=1)
-    li_pd, o_pd = li.toPandas(), orders.toPandas()
-    out = (
-        li.join(orders, li["l_orderkey"] == orders["o_orderkey"])
-        .groupBy("o_orderstatus")
-        .agg(F.count(F.lit(1)).alias("n"))
-    )
-    assert_equivalent(
-        out,
-        """
-        SELECT o_orderstatus, COUNT(*) AS n
-        FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-        GROUP BY o_orderstatus
-        """,
-        lineitem=li_pd,
-        orders=o_pd,
     )
 
 

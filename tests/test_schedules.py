@@ -1,4 +1,5 @@
-"""Tests for the schedule descriptors."""
+"""Tests for the schedule descriptors and the peeling driver."""
+import numpy as np
 import pytest
 
 from repro.core.schedules import (
@@ -10,8 +11,10 @@ from repro.core.schedules import (
     dupin,
     gpo,
     lpo,
+    peel,
     sequential,
 )
+from repro.core.worklog import WorkLog
 
 
 def test_sequential_descriptor():
@@ -63,3 +66,30 @@ def test_schedule_names_distinct():
 def test_custom_schedule_constructible():
     s = Schedule("mine", "threshold", eps=0.3, gpo=True)
     assert s.name == "mine" and s.eps == 0.3
+
+
+class _StuckState:
+    """Two alive vertices that no ``remove`` ever stamps."""
+
+    n, g = 2, 1.0
+
+    def lo(self):
+        return 1.0, 0
+
+    def hi(self):
+        return 1.0
+
+    def remove(self, step, le=None, lt=None, vid=None, tail=None):
+        return 0, 0, 0
+
+    def stamps(self):
+        return np.zeros(2, dtype=np.int64)
+
+
+@pytest.mark.parametrize("sched", [sequential(), dupin(0.1), bucket()],
+                         ids=lambda s: s.name)
+def test_peel_raises_when_a_step_removes_nothing(sched):
+    """The driver bounds every run at n steps: a step that stamps no
+    vertex is an engine fault, not a reason to loop forever."""
+    with pytest.raises(RuntimeError, match="removed no vertex"):
+        peel(_StuckState(), sched, 2, WorkLog(n=2, m=1))

@@ -45,6 +45,13 @@ def _heavy_tailed(seed=0, n=400, m=2000):
     )
 
 
+def _log(r):
+    """The engine-independent fields of each WorkLog record (Spark does
+    not count weight updates)."""
+    return [(x.scanned, x.peeled, x.phase, x.sequential, x.bucket)
+            for x in r.worklog.rounds]
+
+
 def _assert_same(rl, rs):
     assert rs.best_density == pytest.approx(rl.best_density, abs=1e-7)
     assert np.array_equal(np.sort(rl.best_set), np.sort(rs.best_set))
@@ -52,6 +59,7 @@ def _assert_same(rl, rs):
     assert len(rl.round_sets) == len(rs.round_sets)
     for a, b in zip(rl.round_sets, rs.round_sets):
         assert np.array_equal(np.sort(a), b)
+    assert _log(rl) == _log(rs)
 
 
 @pytest.mark.parametrize("metric", [DW, DG, FD], ids=lambda m: m.name)
@@ -111,15 +119,34 @@ def test_spark_matches_local_heavy_tailed(spark, sched):
     assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
 
 
+def _edgeless(n):
+    return from_edges(n, [], [], vertex_weight=np.arange(n, dtype=np.float64))
+
+
+_CYCLE12 = from_edges(12, np.arange(12), (np.arange(12) + 1) % 12)
+_K5 = from_edges(5, *np.triu_indices(5, 1))
+_EXAMPLE21 = from_edges(6, [0, 1, 2, 2, 2, 3, 3], [1, 2, 3, 4, 5, 4, 5],
+                        [1.0, 2.0, 1.0, 2.5, 2.5, 2.5, 2.5])
+
+
 @pytest.mark.parametrize("metric", [DW, FD, TDS], ids=lambda m: m.name)
-@pytest.mark.parametrize("n", [0, 5], ids=["empty", "edgeless"])
-def test_spark_matches_local_degenerate(spark, n, metric):
-    g = from_edges(n, [], [], vertex_weight=np.arange(n, dtype=np.float64))
-    rl = peel_local(g, metric, lpo(0.1), collect_round_sets=True)
-    rs = peel_spark(spark, g, metric, lpo(0.1), collect_round_sets=True)
+@pytest.mark.parametrize("g,sched", [
+    (_edgeless(0), lpo(0.1)),
+    (_edgeless(5), lpo(0.1)),
+    # all-equal weights: every w of the 12-cycle sits exactly at τ = 2;
+    # on the unit-weight cycle and K5, DW is DG
+    (_CYCLE12, dupin(0.0)),
+    (_K5, lpo(0.0)),
+    (_EXAMPLE21, bucket_lpo(0.0)),
+], ids=["empty", "edgeless", "cycle12-dupin", "k5-lpo", "ex21-bucket_lpo"])
+def test_spark_matches_local_degenerate(spark, g, sched, metric):
+    rl = peel_local(g, metric, sched, collect_round_sets=True)
+    rs = peel_spark(spark, g, metric, sched, collect_round_sets=True)
     _assert_same(rl, rs)
     assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
-    if n == 0:
+    assert (rs.long_tail_peeled, rs.sparse_trimmed) == (
+        rl.long_tail_peeled, rl.sparse_trimmed)
+    if g.n == 0:
         assert rs.best_set.size == 0 and rs.best_density == 0.0
 
 
