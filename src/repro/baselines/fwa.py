@@ -31,7 +31,6 @@ def fwa_run(graph: LocalGraph, metric: Metric, n_iters: int | None = None) -> Pe
     assert isinstance(ew, EdgeWeights)
     n, m = graph.n, graph.m
     src, dst, c, a = graph.src, graph.dst, ew.c, ew.a
-    log = WorkLog(n=n, m=m)
     alpha = np.full(m, 0.5)  # fraction of each edge's weight routed to src
 
     def loads(al: np.ndarray) -> np.ndarray:
@@ -46,7 +45,6 @@ def fwa_run(graph: LocalGraph, metric: Metric, n_iters: int | None = None) -> Pe
         b = (r[src] < r[dst]).astype(np.float64)  # all weight to lighter side
         alpha = (1.0 - gamma) * alpha + gamma * b
         r = loads(alpha)
-        log.add(scanned=n, updates=2 * m, peeled=0, phase="peel")
 
     # Extraction: order by load descending; evaluate every prefix density.
     order = np.argsort(-r, kind="stable")
@@ -59,18 +57,18 @@ def fwa_run(graph: LocalGraph, metric: Metric, n_iters: int | None = None) -> Pe
     prefix_f = np.cumsum(a[order]) + np.cumsum(edge_w_at)
     prefix_g = prefix_f / np.arange(1, n + 1)
     best_k = int(np.argmax(prefix_g))
-    log.add(scanned=n, updates=m, peeled=n, phase="peel")
+    # nothing leaves S while Frank–Wolfe iterates: every iteration leaves
+    # g(V); the extraction pass then consumes the whole ranking
+    log = WorkLog(n=n, m=m, g0=float(prefix_g[-1]))
+    for _ in range(n_iters):
+        log.add(scanned=n, updates=2 * m, peeled=0, g=log.g0)
+    log.add(scanned=n, updates=m, peeled=n, phase="extract")
     best_set = np.sort(order[: best_k + 1])
     # stamp: prefix members "survive longest" (removed last)
     stamp = pos + 1  # removal order = reverse ranking, for API parity
     return PeelResult(
         best_set=best_set,
         best_density=float(prefix_g[best_k]),
-        densities=prefix_g[::-1].tolist(),
-        n_rounds=n_iters,
-        n_trim_rounds=0,
-        long_tail_peeled=0,
-        sparse_trimmed=0,
         worklog=log,
         peel_stamp=stamp,
     )

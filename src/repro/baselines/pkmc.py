@@ -31,14 +31,12 @@ def pkmc_run(graph: LocalGraph, metric: Metric, n_levels: int = N_LEVELS) -> Pee
     stamp = np.zeros(n, dtype=np.int64)
     alive_count = n
     step = 0
-    g0 = state.f / n
-    densities = [g0]
-    best_g, best_step = g0, 0
+    log.g0 = best_g = state.f / n
+    best_step = 0
     # λ grid over the initial weight distribution (quantiles, ascending)
     grid = np.unique(
         np.quantile(state.w, np.linspace(0.0, 1.0, n_levels + 1)[1:])
     )
-    rounds = 0
     for lam in grid:
         while alive_count > 0:
             alive = stamp == 0
@@ -48,14 +46,13 @@ def pkmc_run(graph: LocalGraph, metric: Metric, n_levels: int = N_LEVELS) -> Pee
                 break
             batch = np.flatnonzero(batch_mask)
             step += 1
-            rounds += 1
             stamp[batch] = step
-            updates = state.remove(batch, stamp, step)
+            updates, _ = state.remove(batch, stamp, step)
+            alive_count -= n_batch
             # PKMC recomputes the core structure each strip round: charge
             # a full edge pass on top of the vertex scan.
-            log.add(alive_count + graph.m, updates, n_batch, phase="peel")
-            alive_count -= n_batch
-            densities.append(state.f / alive_count if alive_count else 0.0)
+            log.add(alive_count + n_batch + graph.m, updates, n_batch,
+                    g=state.f / alive_count if alive_count else 0.0)
         if alive_count == 0:
             break
         # snapshot only at the stabilized core boundary (the coarse step)
@@ -64,13 +61,5 @@ def pkmc_run(graph: LocalGraph, metric: Metric, n_levels: int = N_LEVELS) -> Pee
             best_g, best_step = g_here, step
     best_set = np.flatnonzero((stamp > best_step) | (stamp == 0))
     return PeelResult(
-        best_set=best_set,
-        best_density=best_g,
-        densities=densities,
-        n_rounds=rounds,
-        n_trim_rounds=0,
-        long_tail_peeled=0,
-        sparse_trimmed=0,
-        worklog=log,
-        peel_stamp=stamp,
+        best_set=best_set, best_density=best_g, worklog=log, peel_stamp=stamp
     )

@@ -8,7 +8,9 @@ peeling decisions.
 
 The schedule loop is :func:`repro.core.schedules.peel`; this module
 supplies its state. ``_EdgeState`` (DG/DW/FD) and ``_CliqueState``
-(TDS/kCLiDS) keep the weights ``w`` and ``f`` under removal. A selection
+(TDS/kCLiDS) keep the weights ``w`` and ``f`` under removal; their
+``remove`` walks a batch's neighbours once and returns the number of
+weight updates with the alive vertices they touched. A selection
 wrapper adds the driver's members ``n``, ``g``, ``lo()``, ``hi()``,
 ``remove()`` and ``stamps()``: threshold schedules select with one
 vectorised mask over the alive vertices (``_Scan``), bucket and
@@ -28,6 +30,15 @@ from repro.core.schedules import TOL, PeelResult, Schedule, peel
 from repro.core.worklog import WorkLog
 
 
+def _slots(ptr: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """The CSR slots ``ptr[v]:ptr[v+1]`` of every ``v`` in ``batch``."""
+    if not len(batch):
+        return np.empty(0, np.int64)
+    return np.concatenate(
+        [np.arange(s, e) for s, e in zip(ptr[batch], ptr[batch + 1])]
+    )
+
+
 class _EdgeState:
     """Peeling state for DG/DW/FD: w_u = a_u + Σ incident c."""
 
@@ -42,34 +53,21 @@ class _EdgeState:
         np.add.at(self.w, g.dst, ew.c)
         self.f = float(ew.a.sum() + ew.c.sum())
 
-    def remove(self, batch: np.ndarray, stamp: np.ndarray, step: int) -> int:
-        """Remove ``batch`` (already stamped with ``step``); returns #updates."""
-        starts, ends = self.indptr[batch], self.indptr[batch + 1]
-        total = int((ends - starts).sum())
-        if total:
-            idx = np.concatenate(
-                [np.arange(s, e) for s, e in zip(starts, ends)]
-            ) if len(batch) else np.empty(0, np.int64)
-            nbrs = self.nbr[idx]
-            cw = self.c[self.eid[idx]]
-            alive = stamp[nbrs] == 0
-            same = stamp[nbrs] == step
-            np.subtract.at(self.w, nbrs[alive], cw[alive])
-            # f loses: vertex priors + every edge leaving the subgraph once.
-            self.f -= float(self.a[batch].sum())
-            self.f -= float(cw[alive].sum()) + 0.5 * float(cw[same].sum())
-        else:
-            self.f -= float(self.a[batch].sum())
-        return total
-
-    def touched(self, batch: np.ndarray, stamp: np.ndarray) -> np.ndarray:
-        """Alive vertices whose weight just changed (for heap re-push)."""
-        starts, ends = self.indptr[batch], self.indptr[batch + 1]
-        if not len(batch):
-            return np.empty(0, np.int64)
-        idx = np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])
+    def remove(self, batch: np.ndarray, stamp: np.ndarray, step: int):
+        """Remove ``batch`` (already stamped with ``step``); returns the
+        number of weight updates and the alive neighbours they touched."""
+        idx = _slots(self.indptr, batch)
+        self.f -= float(self.a[batch].sum())
+        if not idx.size:
+            return 0, idx
         nbrs = self.nbr[idx]
-        return np.unique(nbrs[stamp[nbrs] == 0])
+        cw = self.c[self.eid[idx]]
+        alive = stamp[nbrs] == 0
+        same = stamp[nbrs] == step
+        np.subtract.at(self.w, nbrs[alive], cw[alive])
+        # f loses: vertex priors + every edge leaving the subgraph once.
+        self.f -= float(cw[alive].sum()) + 0.5 * float(cw[same].sum())
+        return idx.size, nbrs[alive]
 
 
 class _CliqueState:
@@ -96,30 +94,17 @@ class _CliqueState:
             self.mem_ptr = np.zeros(g.n + 1, dtype=np.int64)
             self.mem_cid = np.empty(0, dtype=np.int64)
 
-    def _incident_cliques(self, batch: np.ndarray) -> np.ndarray:
-        starts, ends = self.mem_ptr[batch], self.mem_ptr[batch + 1]
-        if not len(batch) or (ends - starts).sum() == 0:
-            return np.empty(0, np.int64)
-        idx = np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])
-        cids = np.unique(self.mem_cid[idx])
-        return cids[self.alive_clique[cids]]
-
-    def remove(self, batch: np.ndarray, stamp: np.ndarray, step: int) -> int:
-        dead = self._incident_cliques(batch)
-        if dead.size:
-            self.alive_clique[dead] = False
-            self.f -= float(dead.size)
-            members = self.cliques[dead].ravel()
-            alive = stamp[members] == 0
-            np.subtract.at(self.w, members[alive], 1.0)
-        return int(dead.size) * self.k
-
-    def touched(self, batch: np.ndarray, stamp: np.ndarray) -> np.ndarray:
-        dead = self._incident_cliques(batch)
-        if not dead.size:
-            return np.empty(0, np.int64)
+    def remove(self, batch: np.ndarray, stamp: np.ndarray, step: int):
+        """Kill the live cliques of ``batch``; returns the number of
+        weight updates and the alive members they touched."""
+        cids = np.unique(self.mem_cid[_slots(self.mem_ptr, batch)])
+        dead = cids[self.alive_clique[cids]]
+        self.alive_clique[dead] = False
+        self.f -= float(dead.size)
         members = self.cliques[dead].ravel()
-        return np.unique(members[stamp[members] == 0])
+        alive = stamp[members] == 0
+        np.subtract.at(self.w, members[alive], 1.0)
+        return int(dead.size) * self.k, members[alive]
 
 
 def make_state(graph: LocalGraph, metric: Metric):
@@ -163,9 +148,13 @@ class _Scan:
 
     def _drop(self, batch: np.ndarray, step: int, n_tail: int):
         self.stamp[batch] = step
-        updates = self.state.remove(batch, self.stamp, step)
+        updates, touched = self.state.remove(batch, self.stamp, step)
         self.n -= batch.size
+        self._requeue(touched)
         return batch.size, n_tail, updates
+
+    def _requeue(self, touched: np.ndarray) -> None:
+        """A threshold step rescans every alive weight: nothing to do."""
 
     def stamps(self) -> np.ndarray:
         return self.stamp
@@ -220,26 +209,23 @@ class _Heap(_Scan):
             n_tail += top[0] > tail
         return self._drop(np.asarray(batch, dtype=np.int64), step, n_tail)
 
-    def _drop(self, batch: np.ndarray, step: int, n_tail: int):
-        self.stamp[batch] = step  # touched() skips the batch by its stamp
-        touched = self.state.touched(batch, self.stamp)
-        out = super()._drop(batch, step, n_tail)
+    def _requeue(self, touched: np.ndarray) -> None:
+        """Push a fresh entry for each alive vertex whose weight moved."""
+        touched = np.unique(touched)
         for entry in zip(self.state.w[touched].tolist(), touched.tolist()):
             heapq.heappush(self.heap, entry)
-        return out
 
 
-def peel_local(
-    graph: LocalGraph,
-    metric: Metric,
-    schedule: Schedule,
-    collect_round_sets: bool = False,
-) -> PeelResult:
-    """Run one peeling schedule on one graph; see module docstring."""
+def peel_local(graph: LocalGraph, metric: Metric, schedule: Schedule) -> PeelResult:
+    """Run one peeling schedule on one graph; see module docstring.
+
+    The result's per-step figures (densities, round counts, long-tail and
+    trim counts, round sets) are views of its WorkLog trace.
+    """
     state = make_state(graph, metric)
     log = WorkLog(n=graph.n, m=graph.m)
     if metric.kind == "clique":
         # enumeration cost ~ k·|E|·α(G)^(k-2); charge the materialized size
         log.init_work = float(state.cliques.size)
     select = _Scan if schedule.mode == "threshold" else _Heap
-    return peel(select(state, graph.n), schedule, metric.k, log, collect_round_sets)
+    return peel(select(state, graph.n), schedule, metric.k, log)

@@ -15,8 +15,11 @@ audited loop, :func:`peel`, behind all comparisons on both engines:
 
 :func:`peel` takes every decision: τ and τ_max, the bucket threshold,
 the single-vertex pick, the long-tail count, the LPO trim loop and its
-refusals, best-step tracking and the WorkLog. An engine only supplies a
-peeling state with six members:
+refusals and the best step. It writes one WorkLog record per step, which
+holds the step's work, its vertex count, the density it leaves and its
+GPO long tail; that trace is the run's only per-step state, and the
+counters, densities and round sets of :class:`PeelResult` are views of
+it. An engine only supplies a peeling state with six members:
 
 - ``n`` — the number of alive vertices; ``g`` — the density of the alive set;
 - ``lo()`` — the minimum alive ``(w, vid)``; ``hi()`` — the maximum alive ``w``;
@@ -95,95 +98,110 @@ def bucket_lpo(eps: float = 0.1) -> Schedule:
 
 @dataclass
 class PeelResult:
-    """Outcome of one peeling run."""
+    """Outcome of one peeling run: the best set and the run's trace.
+
+    Only ``best_set``, ``best_density``, ``worklog`` and ``peel_stamp``
+    are stored; the per-step figures are read off ``worklog``, whose
+    records are steps 1, 2, … of the run.
+    """
 
     best_set: np.ndarray  # vertex ids of argmax_{S_i} g(S_i)
     best_density: float
-    densities: list[float]  # g after every removal batch, densities[0] = g(V)
-    n_rounds: int  # outer peeling rounds (the paper's round counts)
-    n_trim_rounds: int  # LPO inner-loop rounds
-    long_tail_peeled: int  # vertices peeled only because of τ_max (GPO)
-    sparse_trimmed: int  # vertices trimmed by the LPO inner loop
     worklog: WorkLog = field(repr=False)
-    peel_stamp: np.ndarray = field(repr=False)  # batch index when removed
-    round_sets: list[np.ndarray] | None = field(default=None, repr=False)
+    peel_stamp: np.ndarray = field(repr=False)  # step that removed each vertex
+
+    @property
+    def densities(self) -> list[float]:
+        """g after every step; ``densities[0]`` = g(V)."""
+        return [self.worklog.g0] + [r.g for r in self.worklog.rounds]
+
+    @property
+    def n_rounds(self) -> int:
+        """Outer peeling rounds (the paper's round counts)."""
+        return sum(r.phase == "peel" for r in self.worklog.rounds)
+
+    @property
+    def n_trim_rounds(self) -> int:
+        """LPO inner-loop rounds."""
+        return sum(r.phase == "trim" for r in self.worklog.rounds)
+
+    @property
+    def long_tail_peeled(self) -> int:
+        """Vertices peeled only because of τ_max (GPO)."""
+        return sum(r.tail for r in self.worklog.rounds)
+
+    @property
+    def sparse_trimmed(self) -> int:
+        """Vertices trimmed by the LPO inner loop."""
+        return sum(r.peeled for r in self.worklog.rounds if r.phase == "trim")
+
+    @property
+    def round_sets(self) -> list[np.ndarray]:
+        """The vertices of each peel round, ascending."""
+        return [
+            np.flatnonzero(self.peel_stamp == s)
+            for s, r in enumerate(self.worklog.rounds, start=1)
+            if r.phase == "peel"
+        ]
 
 
-def peel(
-    state, schedule: Schedule, k: int, log: WorkLog, collect: bool = False
-) -> PeelResult:
+def peel(state, schedule: Schedule, k: int, log: WorkLog) -> PeelResult:
     """Peel ``state`` empty under ``schedule``; see the module docstring.
 
-    ``k`` is the metric's clique size, ``log`` receives one record per
-    step, and ``collect`` asks for the vertex set of every peel round.
+    ``k`` is the metric's clique size and ``log``, empty on entry,
+    receives one record per step.
     """
     threshold = schedule.mode == "threshold"
     seq = schedule.mode == "sequential"
     factor = k * (1.0 + schedule.eps)
-    densities = [state.g]  # densities[s] = g after step s
-    peel_steps: list[int] = []
     tau_max = 0.0
-    long_tail = sparse = 0
+    log.g0 = state.g
 
-    def step(phase: str, tail: float = math.inf, **pick) -> tuple[int, int]:
+    def step(phase: str, tail: float = math.inf, **pick) -> None:
+        s = len(log.rounds) + 1
         scanned = state.n
-        size, n_tail, updates = state.remove(len(densities), tail=tail, **pick)
+        size, n_tail, updates = state.remove(s, tail=tail, **pick)
         if not size:  # every step removes a vertex, so a run takes <= n steps
-            raise RuntimeError(f"{phase} step {len(densities)} removed no vertex")
+            raise RuntimeError(f"{phase} step {s} removed no vertex")
         if not threshold:
             scanned = size  # a bucket pop touches only its batch
         elif schedule.round_sort and phase == "peel":
             # ALENEX-style machinery: full re-sort + edge pass per round
             scanned += int(log.n * np.log2(max(log.n, 2)) + log.m)
         log.add(scanned, updates, size, phase=phase, sequential=seq,
-                bucket=schedule.mode == "bucket")
-        densities.append(state.g)
-        return size, n_tail
+                bucket=schedule.mode == "bucket", g=state.g, tail=n_tail)
 
     while state.n:
         g = state.g
         if schedule.gpo:
             tau_max = max(tau_max, g / factor)
         wmin, vmin = state.lo()
-        peel_steps.append(len(densities))
-        if seq:
-            tail, pick = math.inf, {"vid": vmin}
-        elif threshold:
-            base_tau = factor * g
-            tau = max(tau_max, base_tau) if schedule.gpo else base_tau
-            tail = base_tau + TOL
-            # float safety net: with nothing under τ, peel the argmin
-            pick = {"vid": vmin} if wmin > tau + TOL else {"le": tau + TOL}
+        # τ without GPO: k(1+ε)·g, or the minimum bucket; GPO's long tail
+        # is what the step takes above it
+        base = factor * g if threshold else wmin
+        tau = max(tau_max, base) if schedule.gpo else base
+        if seq or wmin > tau + TOL:  # float safety net: nothing under τ
+            pick = {"vid": vmin}
         else:
-            thr = max(wmin, tau_max) if schedule.gpo else wmin
-            tail, pick = wmin + TOL, {"le": thr + TOL}
-        _, n_tail = step("peel", tail, **pick)
-        if schedule.gpo:
-            long_tail += n_tail  # pulled in early by the global threshold
+            pick = {"le": tau + TOL}
+        step("peel", base + TOL if schedule.gpo else math.inf, **pick)
 
         # LPO: trim w < τ₂ unless that trims nothing or empties S
         while schedule.lpo and state.n:
             tau2 = max(tau_max, state.g)
             if state.lo()[0] >= tau2 - TOL or state.hi() < tau2 - TOL:
                 break
-            sparse += step("trim", lt=tau2 - TOL)[0]
+            step("trim", lt=tau2 - TOL)
 
-    best_step = 0  # the first step whose g beats every earlier one by TOL
-    for s, g in enumerate(densities):
-        if g > densities[best_step] + TOL:
-            best_step = s
+    # the best step: the first whose g beats the best earlier g by TOL
+    best_step, best_g = 0, log.g0
+    for s, r in enumerate(log.rounds, start=1):
+        if r.g > best_g + TOL:
+            best_step, best_g = s, r.g
     stamp = state.stamps()
     return PeelResult(
         best_set=np.flatnonzero(stamp > best_step),
-        best_density=float(densities[best_step]),
-        densities=densities,
-        n_rounds=len(peel_steps),
-        n_trim_rounds=len(densities) - 1 - len(peel_steps),
-        long_tail_peeled=long_tail,
-        sparse_trimmed=sparse,
+        best_density=float(best_g),
         worklog=log,
         peel_stamp=stamp,
-        round_sets=(
-            [np.flatnonzero(stamp == s) for s in peel_steps] if collect else None
-        ),
     )

@@ -289,16 +289,15 @@ class _SparkState:
 
 
 def peel_spark(
-    spark: SparkSession,
-    graph: LocalGraph,
-    metric: Metric,
-    schedule: Schedule,
-    collect_round_sets: bool = False,
+    spark: SparkSession, graph: LocalGraph, metric: Metric, schedule: Schedule
 ) -> PeelResult:
     """Run a parallel peeling schedule as iterative Spark jobs.
 
     Returns the same :class:`PeelResult` shape as the local engine, so the
-    table harnesses and tests treat backends interchangeably.
+    table harnesses and tests treat backends interchangeably: the per-step
+    figures are views of the WorkLog trace, which records the same steps
+    as the local engine's (weight updates aside, which Spark does not
+    count).
     """
     if schedule.mode == "sequential":
         raise ValueError(
@@ -307,9 +306,6 @@ def peel_spark(
         )
     state = _SparkState(spark, graph, metric)
     try:
-        return peel(
-            state, schedule, metric.k, WorkLog(n=graph.n, m=graph.m),
-            collect_round_sets,
-        )
+        return peel(state, schedule, metric.k, WorkLog(n=graph.n, m=graph.m))
     finally:
         state.msgs.unpersist()

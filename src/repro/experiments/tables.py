@@ -50,7 +50,6 @@ class RunSummary:
     """Cached result of one (dataset, metric, system) run."""
 
     density: float
-    n_rounds: int
     sim_s: float  # simulated seconds at paper scale, X5650 profile
     sim_epyc_s: float
 
@@ -63,21 +62,33 @@ def _round_growth(system: str, metric_name: str) -> str:
 
 
 def _simulate_paper_scale(
-    result, dataset: str, graph, metric_name: str, system: str,
+    result, graph, metric, system: str, paper_v: int, paper_e: int,
     profile: MachineProfile,
 ) -> float:
-    spec = DATASETS[dataset]
-    metric = by_name(metric_name, KCLIDS_K)
+    """Seconds for ``result``'s WorkLog extrapolated to a paper graph."""
     ag = extrapolate(
         result.worklog,
         synth_v=graph.n,
         synth_e=graph.m,
-        paper_v=spec.paper_v,
-        paper_e=spec.paper_e,
-        round_growth=_round_growth(system, metric_name),
+        paper_v=paper_v,
+        paper_e=paper_e,
+        round_growth=_round_growth(system, metric.name),
         clique_k=metric.k if metric.kind == "clique" else None,
     )
     return simulate(ag, profile)
+
+
+def _spade_ops(sres, graph, metric, paper_e: int) -> float:
+    """Spade's span-bound operations at paper scale.
+
+    Spade's reported number is the average per-batch incremental cost
+    (sequential suffix re-peel); clique metrics additionally pay the
+    span-bound initial clique counting (the paper's TLEs).
+    """
+    e_ratio = paper_e / max(graph.m, 1)
+    init_exp = clique_exponent(metric.k if metric.kind == "clique" else None)
+    return (sres.avg_batch_work * e_ratio
+            + sres.result.worklog.init_sequential * e_ratio**init_exp)
 
 
 @lru_cache(maxsize=1024)
@@ -87,6 +98,15 @@ def run_system(
     """Run ``system`` on ``dataset`` under ``metric`` and price the log."""
     graph = load_dataset(dataset, scale)
     metric = by_name(metric_name, KCLIDS_K)
+    spec = DATASETS[dataset]
+    if system == "Spade":
+        sres = spade_run(graph, metric)
+        ops = _spade_ops(sres, graph, metric, spec.paper_e)
+        return RunSummary(
+            density=sres.result.best_density,
+            sim_s=ops / X5650.seq_rate,
+            sim_epyc_s=ops / EPYC_7742.seq_rate,
+        )
     if system == "Dupin":
         res = peel_local(graph, metric, dupin(0.1))
     elif system == "DupinGPO":
@@ -105,36 +125,16 @@ def run_system(
         res = fwa_run(graph, metric)
     elif system == "ALENEX":
         res = alenex_run(graph, metric)
-    elif system == "Spade":
-        sres = spade_run(graph, metric)
-        res = sres.result
-        # Spade's reported number is the average per-batch incremental
-        # cost (sequential suffix re-peel); clique metrics additionally
-        # pay the span-bound initial clique counting (the paper's TLEs).
-        spec = DATASETS[dataset]
-        e_ratio = spec.paper_e / max(graph.m, 1)
-        per_batch_ops = sres.avg_batch_work * e_ratio
-        init_exp = clique_exponent(metric.k if metric.kind == "clique" else None)
-        init_seq = res.worklog.init_sequential * e_ratio**init_exp
-        sim = (per_batch_ops + init_seq) / X5650.seq_rate
-        sim_e = (per_batch_ops + init_seq) / EPYC_7742.seq_rate
-        return RunSummary(
-            density=res.best_density,
-            n_rounds=res.n_rounds,
-            sim_s=sim,
-            sim_epyc_s=sim_e,
-        )
     else:
         raise KeyError(system)
+
+    def sim(profile: MachineProfile) -> float:
+        return _simulate_paper_scale(
+            res, graph, metric, system, spec.paper_v, spec.paper_e, profile
+        )
+
     return RunSummary(
-        density=res.best_density,
-        n_rounds=res.n_rounds,
-        sim_s=_simulate_paper_scale(
-            res, dataset, graph, metric_name, system, X5650
-        ),
-        sim_epyc_s=_simulate_paper_scale(
-            res, dataset, graph, metric_name, system, EPYC_7742
-        ),
+        density=res.best_density, sim_s=sim(X5650), sim_epyc_s=sim(EPYC_7742)
     )
 
 
@@ -320,23 +320,12 @@ def table9(scale: float = 1.0) -> list[dict]:
             extra = spec_e * GBBS_PRECOMPUTE_OPS[mname] / X5650.seq_rate
         elif system == "Spade":
             sres = spade_run(g, metric)
-            e_ratio = spec_e / max(g.m, 1)
-            exp = clique_exponent(metric.k if metric.kind == "clique" else None)
-            ops = sres.avg_batch_work * e_ratio
-            ops += sres.result.worklog.init_sequential * e_ratio**exp
-            return ops / X5650.seq_rate
+            return _spade_ops(sres, g, metric, spec_e) / X5650.seq_rate
         else:
             raise KeyError(system)
-        ag = extrapolate(
-            res.worklog,
-            synth_v=g.n,
-            synth_e=g.m,
-            paper_v=spec_v,
-            paper_e=spec_e,
-            round_growth=_round_growth(system, mname),
-            clique_k=metric.k if metric.kind == "clique" else None,
-        )
-        return simulate(ag, X5650) + extra
+        return _simulate_paper_scale(
+            res, g, metric, system, spec_v, spec_e, X5650
+        ) + extra
 
     rows = []
     for system in ("Dupin", "Spade", "GBBS"):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.spade import spade_run, stale_weight_error
-from repro.core import DG, DW, TDS, from_edges, peel_local, sequential
+from repro.core import DW, TDS, from_edges, peel_local, sequential
 from repro.graphgen import chung_lu_with_communities
 
 
@@ -39,13 +39,6 @@ def test_batches_touching_dense_core_cost_more(graph):
     early = int(order[0])
     late = int(order[-1])
     assert suffix[rank[early] - 1] > suffix[rank[late] - 1]
-
-
-def test_worklog_gains_sequential_batch_segments(graph):
-    s = spade_run(graph, DG, batch_size=50, n_batches=4)
-    seq_rounds = [r for r in s.result.worklog.rounds if r.sequential]
-    # n sequential peel rounds + 4 batch segments
-    assert len(seq_rounds) == graph.n + 4
 
 
 def test_spade_clique_init_is_span_bound():

@@ -22,7 +22,7 @@ def example_graph():
 def test_example41_first_round_peels_u1_u2(example_graph):
     """Example 4.1: u1 (w=1) and u2 (w=3) are both below 2·g(V)=4.67 and
     peel together in round 1; density then rises to 2.75."""
-    r = peel_local(example_graph, DW, dupin(0.0), collect_round_sets=True)
+    r = peel_local(example_graph, DW, dupin(0.0))
     assert r.round_sets[0].tolist() == [0, 1]
     assert r.densities[1] == pytest.approx(2.75)
 
@@ -53,7 +53,7 @@ def test_every_round_peels_at_least_one_vertex():
     rng = np.random.default_rng(8)
     g = from_edges(30, rng.integers(0, 30, 90), rng.integers(0, 30, 90),
                    rng.random(90))
-    r = peel_local(g, DW, dupin(0.1), collect_round_sets=True)
+    r = peel_local(g, DW, dupin(0.1))
     assert all(s.size >= 1 for s in r.round_sets)
     assert sum(s.size for s in r.round_sets) == 30
 
@@ -109,7 +109,7 @@ def test_best_set_density_consistent():
 def test_peel_stamp_partitions_vertices():
     rng = np.random.default_rng(12)
     g = from_edges(25, rng.integers(0, 25, 70), rng.integers(0, 25, 70))
-    r = peel_local(g, DG, dupin(0.1), collect_round_sets=True)
+    r = peel_local(g, DG, dupin(0.1))
     assert (r.peel_stamp > 0).all()  # everything eventually peeled
     # the round sets partition V and stamps match the round order
     seen = np.zeros(g.n, dtype=int)
@@ -122,7 +122,7 @@ def test_peel_stamp_partitions_vertices():
 def test_densities_log_one_entry_per_batch():
     rng = np.random.default_rng(13)
     g = from_edges(20, rng.integers(0, 20, 50), rng.integers(0, 20, 50))
-    r = peel_local(g, DG, dupin(0.2), collect_round_sets=True)
+    r = peel_local(g, DG, dupin(0.2))
     assert len(r.densities) == len(r.round_sets) + 1
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core import DG, DW, FD, TDS, from_edges, kclids, peel_local
 from repro.core.schedules import (
     Schedule,
     alenex,
@@ -93,3 +94,37 @@ def test_peel_raises_when_a_step_removes_nothing(sched):
     vertex is an engine fault, not a reason to loop forever."""
     with pytest.raises(RuntimeError, match="removed no vertex"):
         peel(_StuckState(), sched, 2, WorkLog(n=2, m=1))
+
+
+def _random_graph(seed=0, n=30, m=120):
+    rng = np.random.default_rng(seed)
+    return from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m),
+                      rng.random(m) * 3 + 0.1, vertex_weight=rng.random(n))
+
+
+_SMALL = {
+    "ex21": from_edges(6, [0, 1, 2, 2, 2, 3, 3], [1, 2, 3, 4, 5, 4, 5],
+                       [1.0, 2.0, 1.0, 2.5, 2.5, 2.5, 2.5]),
+    "k5": from_edges(5, *np.triu_indices(5, 1)),
+    "random30": _random_graph(),
+}
+
+
+@pytest.mark.parametrize("sched", [dupin(0.1), gpo(0.1), lpo(0.1), bucket(),
+                                   bucket_gpo(0.1), bucket_lpo(0.1)],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("metric", [DG, DW, FD, TDS, kclids(4)],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("name", list(_SMALL))
+def test_trace_accounts_for_every_vertex(name, metric, sched):
+    """The WorkLog trace is the run: its records peel every vertex once,
+    its densities end at the empty set, and the GPO/LPO views count
+    nothing for schedules without GPO/LPO."""
+    g = _SMALL[name]
+    r = peel_local(g, metric, sched)
+    assert sum(x.peeled for x in r.worklog.rounds) == g.n
+    assert r.densities[-1] == 0
+    if not sched.gpo:
+        assert r.long_tail_peeled == 0
+    if not sched.lpo:
+        assert r.sparse_trimmed == 0

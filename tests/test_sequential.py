@@ -32,7 +32,7 @@ def test_example21_best_subset_and_density(example_graph):
 
 
 def test_example21_first_two_peels(example_graph):
-    r = peel_local(example_graph, DW, sequential(), collect_round_sets=True)
+    r = peel_local(example_graph, DW, sequential())
     # u1 (smallest weight 1) peels first, then u2
     assert r.round_sets[0].tolist() == [0]
     assert r.round_sets[1].tolist() == [1]
@@ -45,7 +45,7 @@ def test_example21_final_density_zero(example_graph):
 
 def test_sequential_peels_one_vertex_per_round():
     g = from_edges(5, [0, 1, 2, 3], [1, 2, 3, 4])
-    r = peel_local(g, DG, sequential(), collect_round_sets=True)
+    r = peel_local(g, DG, sequential())
     assert r.n_rounds == 5
     assert all(s.size == 1 for s in r.round_sets)
 
@@ -54,7 +54,7 @@ def test_sequential_always_peels_current_min_weight():
     rng = np.random.default_rng(2)
     g = from_edges(10, rng.integers(0, 10, 25), rng.integers(0, 10, 25),
                    rng.random(25) + 0.05)
-    r = peel_local(g, DW, sequential(), collect_round_sets=True)
+    r = peel_local(g, DW, sequential())
     # replay: at each step the peeled vertex has minimal remaining weight
     alive = np.ones(g.n, bool)
     for batch in r.round_sets:
@@ -110,7 +110,7 @@ def test_theorem22_k_approximation(seed):
 
 def test_isolated_vertices_peel_first():
     g = from_edges(4, [0], [1])  # 2 and 3 isolated
-    r = peel_local(g, DG, sequential(), collect_round_sets=True)
+    r = peel_local(g, DG, sequential())
     first_two = {r.round_sets[0][0], r.round_sets[1][0]}
     assert first_two == {2, 3}
 

@@ -48,7 +48,7 @@ def _heavy_tailed(seed=0, n=400, m=2000):
 def _log(r):
     """The engine-independent fields of each WorkLog record (Spark does
     not count weight updates)."""
-    return [(x.scanned, x.peeled, x.phase, x.sequential, x.bucket)
+    return [(x.scanned, x.peeled, x.phase, x.sequential, x.bucket, x.tail)
             for x in r.worklog.rounds]
 
 
@@ -65,8 +65,8 @@ def _assert_same(rl, rs):
 @pytest.mark.parametrize("metric", [DW, DG, FD], ids=lambda m: m.name)
 def test_spark_matches_local_dupin(spark, metric):
     g = _graph(1)
-    rl = peel_local(g, metric, dupin(0.1), collect_round_sets=True)
-    rs = peel_spark(spark, g, metric, dupin(0.1), collect_round_sets=True)
+    rl = peel_local(g, metric, dupin(0.1))
+    rs = peel_spark(spark, g, metric, dupin(0.1))
     _assert_same(rl, rs)
 
 
@@ -80,8 +80,8 @@ def test_spark_matches_local_schedules(spark, sched_name, sched):
         assert peel_local(g, DW, sched).long_tail_peeled > 0
     else:
         g = _graph(2, n=24, m=70)
-    rl = peel_local(g, DW, sched, collect_round_sets=True)
-    rs = peel_spark(spark, g, DW, sched, collect_round_sets=True)
+    rl = peel_local(g, DW, sched)
+    rs = peel_spark(spark, g, DW, sched)
     _assert_same(rl, rs)
     assert rs.long_tail_peeled == rl.long_tail_peeled
     assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
@@ -89,23 +89,23 @@ def test_spark_matches_local_schedules(spark, sched_name, sched):
 
 def test_spark_matches_local_tds(spark):
     g = _graph(3, n=26, m=90)
-    rl = peel_local(g, TDS, dupin(0.1), collect_round_sets=True)
-    rs = peel_spark(spark, g, TDS, dupin(0.1), collect_round_sets=True)
+    rl = peel_local(g, TDS, dupin(0.1))
+    rs = peel_spark(spark, g, TDS, dupin(0.1))
     _assert_same(rl, rs)
 
 
 def test_spark_matches_local_kclids4(spark):
     g = _graph(4, n=20, m=70)
-    rl = peel_local(g, kclids(4), dupin(0.1), collect_round_sets=True)
-    rs = peel_spark(spark, g, kclids(4), dupin(0.1), collect_round_sets=True)
+    rl = peel_local(g, kclids(4), dupin(0.1))
+    rs = peel_spark(spark, g, kclids(4), dupin(0.1))
     _assert_same(rl, rs)
 
 
 def test_spark_matches_local_gfg(spark):
     """The detection benchmark's input: gfg x1, DW, DupinLPO."""
     g = load_dataset("gfg", 1.0)
-    rl = peel_local(g, DW, lpo(0.1), collect_round_sets=True)
-    rs = peel_spark(spark, g, DW, lpo(0.1), collect_round_sets=True)
+    rl = peel_local(g, DW, lpo(0.1))
+    rs = peel_spark(spark, g, DW, lpo(0.1))
     _assert_same(rl, rs)
     assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
 
@@ -113,8 +113,8 @@ def test_spark_matches_local_gfg(spark):
 @pytest.mark.parametrize("sched", [lpo(0.1), gpo(0.1)], ids=lambda s: s.name)
 def test_spark_matches_local_heavy_tailed(spark, sched):
     g = _heavy_tailed()
-    rl = peel_local(g, DW, sched, collect_round_sets=True)
-    rs = peel_spark(spark, g, DW, sched, collect_round_sets=True)
+    rl = peel_local(g, DW, sched)
+    rs = peel_spark(spark, g, DW, sched)
     _assert_same(rl, rs)
     assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
 
@@ -140,8 +140,8 @@ _EXAMPLE21 = from_edges(6, [0, 1, 2, 2, 2, 3, 3], [1, 2, 3, 4, 5, 4, 5],
     (_EXAMPLE21, bucket_lpo(0.0)),
 ], ids=["empty", "edgeless", "cycle12-dupin", "k5-lpo", "ex21-bucket_lpo"])
 def test_spark_matches_local_degenerate(spark, g, sched, metric):
-    rl = peel_local(g, metric, sched, collect_round_sets=True)
-    rs = peel_spark(spark, g, metric, sched, collect_round_sets=True)
+    rl = peel_local(g, metric, sched)
+    rs = peel_spark(spark, g, metric, sched)
     _assert_same(rl, rs)
     assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
     assert (rs.long_tail_peeled, rs.sparse_trimmed) == (

@@ -14,7 +14,7 @@ def test_add_and_counters():
     log.add(5, 3, 1)
     log.add(4, 2, 1, phase="trim", bucket=True)
     log.add(3, 1, 1, sequential=True)
-    assert log.n_rounds == 3
+    assert len(log.rounds) == 3
     assert log.total_work == 5 + 3 + 4 + 2 + 3 + 1
 
 
