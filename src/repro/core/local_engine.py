@@ -15,7 +15,10 @@ wrapper adds the driver's members ``n``, ``g``, ``lo()``, ``hi()``,
 ``remove()`` and ``stamps()``: threshold schedules select with one
 vectorised mask over the alive vertices (``_Scan``), bucket and
 sequential schedules with a lazy min-heap (``_Heap``), so a bucket round
-costs its bucket, not a full scan.
+costs its bucket, not a full scan. The heap is frontier-bounded: it
+holds entries only for the alive vertices at or under a weight θ, and
+raises θ past the next K alive weights with one vectorised partition
+when it runs dry, so a step pushes only the touched vertices under θ.
 """
 from __future__ import annotations
 
@@ -31,12 +34,13 @@ from repro.core.worklog import WorkLog
 
 
 def _slots(ptr: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """The CSR slots ``ptr[v]:ptr[v+1]`` of every ``v`` in ``batch``."""
-    if not len(batch):
-        return np.empty(0, np.int64)
-    return np.concatenate(
-        [np.arange(s, e) for s, e in zip(ptr[batch], ptr[batch + 1])]
-    )
+    """The CSR slots ``ptr[v]:ptr[v+1]`` of every ``v`` in ``batch``, in
+    batch order."""
+    starts = ptr[batch]
+    lens = ptr[batch + 1] - starts
+    ends = np.cumsum(lens)  # where each vertex's run ends in the output
+    total = int(ends[-1]) if lens.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - lens), lens)
 
 
 class _EdgeState:
@@ -160,20 +164,60 @@ class _Scan:
         return self.stamp
 
 
-class _Heap(_Scan):
-    """Bucket and sequential selection through a lazy min-heap.
+def _frontier(n_alive: int) -> int:
+    """K, the number of alive weights above θ that one refill brings
+    under it: √n keeps the refills to about √n vectorised O(n) scans,
+    while θ stays low enough that most touched vertices sit above it and
+    cost no push."""
+    return max(1, math.isqrt(n_alive))
 
-    O((V+E)·log V) in total, matching the data structures the compared
-    systems actually use — the per-round cost is bucket-local, *not* a
-    full vertex scan (this is why GBBS rounds are cheap but numerous on
-    weighted graphs). Entries are ``(w, vid)``; one whose vertex is gone
-    or whose weight moved by more than TOL is stale and skipped.
+
+class _Heap(_Scan):
+    """Bucket and sequential selection through a frontier-bounded lazy
+    min-heap.
+
+    The heap holds ``(w, vid)`` entries only for alive vertices with
+    ``w <= θ`` (the frontier); every vertex above θ is left out, so a
+    step pushes only the touched vertices that are, or fall, under θ.
+    When no valid entry is left, one vectorised ``np.partition`` over the
+    alive weights above θ raises θ to the next K smallest of them
+    (:func:`_frontier`) and pushes those vertices; a ``le``/``lt`` bound
+    above θ raises θ to the bound first. This is the lazy bucketing of
+    Julienne (Dhulipala, Blelloch & Shun, SPAA 2017): only the low
+    buckets are materialised, so a bucket round costs its bucket, not a
+    full vertex scan, and the heap never holds an entry per vertex.
+
+    An entry is stale once its vertex is gone or its weight moved by more
+    than TOL; a popped vertex is stamped at once, so its other entries
+    read as stale. Removal never raises a weight (``c >= 0``, and clique
+    counts only fall), so a vertex's newest entry is its smallest and
+    equals its current weight, and the first valid entry is exactly the
+    argmin ``(w, vid)`` over the alive vertices: the frontier changes
+    which entries exist, never which vertex a step takes, or in what
+    order.
     """
 
     def __init__(self, state, n: int):
         super().__init__(state, n)
-        self.heap = [(float(state.w[v]), v) for v in range(n)]
-        heapq.heapify(self.heap)
+        self.heap: list[tuple[float, int]] = []
+        self.theta = -math.inf
+
+    def _grow(self, bound: float = -math.inf) -> None:
+        """Raise θ to at least ``bound`` and past the next K alive weights
+        above it; push every alive vertex that θ passes."""
+        w = self.state.w
+        above = np.flatnonzero((self.stamp == 0) & (w > self.theta))
+        wa = w[above]
+        k = _frontier(self.n)
+        if wa.size > k:
+            self.theta = max(bound, float(np.partition(wa, k - 1)[k - 1]))
+        else:
+            self.theta = math.inf
+        self._push(above[wa <= self.theta])
+
+    def _push(self, vids: np.ndarray) -> None:
+        for entry in zip(self.state.w[vids].tolist(), vids.tolist()):
+            heapq.heappush(self.heap, entry)
 
     def _top(self) -> tuple[float, int] | None:
         """The first valid entry, popping stale ones on the way."""
@@ -188,32 +232,32 @@ class _Heap(_Scan):
 
     def lo(self) -> tuple[float, int]:
         top = self._top()
-        if top is None:  # all remaining entries stale: rebuild
-            self.heap = [
-                (float(self.state.w[v]), v) for v in np.flatnonzero(self.stamp == 0)
-            ]
-            heapq.heapify(self.heap)
+        if top is None:  # every alive vertex is above θ
+            self._grow()
             top = self._top()
         return top
 
     def remove(self, step, le=None, lt=None, vid=None, tail=math.inf):
         if vid is not None:
             return super().remove(step, vid=vid, tail=tail)
+        bound = le if lt is None else lt
+        if bound > self.theta:
+            self._grow(bound)
         batch: list[int] = []
         n_tail = 0
         while (top := self._top()) is not None and (
             top[0] <= le if lt is None else top[0] < lt
         ):
             heapq.heappop(self.heap)
+            self.stamp[top[1]] = step  # its other entries are now stale
             batch.append(top[1])
             n_tail += top[0] > tail
         return self._drop(np.asarray(batch, dtype=np.int64), step, n_tail)
 
     def _requeue(self, touched: np.ndarray) -> None:
-        """Push a fresh entry for each alive vertex whose weight moved."""
+        """Push a fresh entry for each touched vertex now under θ."""
         touched = np.unique(touched)
-        for entry in zip(self.state.w[touched].tolist(), touched.tolist()):
-            heapq.heappush(self.heap, entry)
+        self._push(touched[self.state.w[touched] <= self.theta])
 
 
 def peel_local(graph: LocalGraph, metric: Metric, schedule: Schedule) -> PeelResult:

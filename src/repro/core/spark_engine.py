@@ -38,8 +38,6 @@ Results are bit-compatible with ``local_engine`` (one driver, one TOL);
 """
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
@@ -103,11 +101,8 @@ def cliques_df(edges: DataFrame, k: int) -> DataFrame:
 
 def clique_weights_df(verts: DataFrame, edges: DataFrame, k: int) -> DataFrame:
     """Per-vertex live-clique counts; ``w`` = #cliques containing vertex."""
-    cl = cliques_df(edges, k)
-    roles = None
-    for j in range(k):
-        r = cl.select(F.col(f"v{j}").alias("vid"))
-        roles = r if roles is None else roles.unionAll(r)
+    members = [f"v{j}" for j in range(k)]
+    roles = cliques_df(edges, k).select(F.explode(F.array(*members)).alias("vid"))
     counts = roles.groupBy("vid").agg(F.count(F.lit(1)).alias("cnt"))
     return verts.join(counts, "vid", "left").select(
         "vid",
@@ -198,11 +193,11 @@ class _SparkState:
             init = self.msgs.select(F.col("dst").alias("vid"), F.col("c").alias("d"))
             w0 = F.col("a")
         else:
-            cl = cliques_df(edges, self.k)
             self.members = [f"v{j}" for j in range(self.k)]
-            self.msgs = reduce(
-                DataFrame.unionAll,
-                [cl.select(F.col(v).alias("vid"), *self.members) for v in self.members],
+            # one row per (member, clique), exploded from a single listing so
+            # the self-joins run once
+            self.msgs = cliques_df(edges, self.k).select(
+                F.explode(F.array(*self.members)).alias("vid"), *self.members
             ).repartition(parts, "vid").cache()
             init = self.msgs.select("vid", F.lit(1.0).alias("d"))
             w0 = F.lit(0.0)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DG, DW, FD, TDS, from_edges, kclids, peel_local
+from repro.core import DG, DW, FD, TDS, from_edges, kclids, local_engine, peel_local
 from repro.core.schedules import (
     Schedule,
     alenex,
@@ -102,11 +102,27 @@ def _random_graph(seed=0, n=30, m=120):
                       rng.random(m) * 3 + 0.1, vertex_weight=rng.random(n))
 
 
+def _core_with_leaves(seed=0):
+    """A 10-clique core with 30 light leaves: bucket GPO takes the leaves
+    as a long tail, and bucket LPO trims them."""
+    rng = np.random.default_rng(seed)
+    cs, cd = np.triu_indices(10, 1)
+    return from_edges(
+        40, np.concatenate([cs, np.arange(10, 40)]),
+        np.concatenate([cd, rng.integers(0, 10, 30)]),
+        np.concatenate([rng.uniform(2, 4, cs.size), rng.uniform(0.5, 1.4, 30)]),
+    )
+
+
 _SMALL = {
     "ex21": from_edges(6, [0, 1, 2, 2, 2, 3, 3], [1, 2, 3, 4, 5, 4, 5],
                        [1.0, 2.0, 1.0, 2.5, 2.5, 2.5, 2.5]),
     "k5": from_edges(5, *np.triu_indices(5, 1)),
     "random30": _random_graph(),
+    "core_leaves": _core_with_leaves(),
+    # vertex 1 falls from 5 + 1e-12 to 5.0 in step 1, so the bucket heap
+    # holds two valid entries for it in step 2
+    "tiny_edge": from_edges(4, [0, 1, 2], [1, 2, 3], [1e-12, 5.0, 5.0]),
 }
 
 
@@ -123,8 +139,43 @@ def test_trace_accounts_for_every_vertex(name, metric, sched):
     g = _SMALL[name]
     r = peel_local(g, metric, sched)
     assert sum(x.peeled for x in r.worklog.rounds) == g.n
+    assert (r.peel_stamp > 0).all()
     assert r.densities[-1] == 0
     if not sched.gpo:
         assert r.long_tail_peeled == 0
     if not sched.lpo:
         assert r.sparse_trimmed == 0
+
+
+@pytest.mark.parametrize("batch", [[], [1], [0], [3, 0, 2], [4, 1, 3, 0, 2]])
+def test_slots_match_per_vertex_ranges(batch):
+    """The vectorised CSR slots equal the concatenated per-vertex ranges,
+    empty ranges and empty batches included."""
+    ptr = np.array([0, 2, 2, 5, 9, 10], dtype=np.int64)
+    batch = np.array(batch, dtype=np.int64)
+    want = [i for v in batch for i in range(ptr[v], ptr[v + 1])]
+    assert local_engine._slots(ptr, batch).tolist() == want
+
+
+def _trace(r):
+    return r.peel_stamp.tolist(), [
+        (x.scanned, x.updates, x.peeled, x.phase, x.g, x.tail)
+        for x in r.worklog.rounds
+    ]
+
+
+@pytest.mark.parametrize("frontier", [1, 10**9], ids=["K1", "Kall"])
+@pytest.mark.parametrize("sched", [sequential(), bucket(), bucket_gpo(0.1),
+                                   bucket_lpo(0.1)], ids=lambda s: s.name)
+@pytest.mark.parametrize("metric", [DG, DW, FD, TDS, kclids(4)],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("name", list(_SMALL))
+def test_heap_frontier_size_does_not_change_the_run(monkeypatch, name, metric,
+                                                    sched, frontier):
+    """The bucket heap's frontier decides which entries exist, never which
+    vertex a step takes: a frontier of one vertex, or of every vertex,
+    gives the default's stamps and WorkLog records."""
+    g = _SMALL[name]
+    want = _trace(peel_local(g, metric, sched))
+    monkeypatch.setattr(local_engine, "_frontier", lambda n: frontier)
+    assert _trace(peel_local(g, metric, sched)) == want

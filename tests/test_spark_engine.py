@@ -138,7 +138,10 @@ _EXAMPLE21 = from_edges(6, [0, 1, 2, 2, 2, 3, 3], [1, 2, 3, 4, 5, 4, 5],
     (_CYCLE12, dupin(0.0)),
     (_K5, lpo(0.0)),
     (_EXAMPLE21, bucket_lpo(0.0)),
-], ids=["empty", "edgeless", "cycle12-dupin", "k5-lpo", "ex21-bucket_lpo"])
+    # under DW vertex 1 falls by 1e-12 < TOL in step 1: it must peel once
+    (from_edges(4, [0, 1, 2], [1, 2, 3], [1e-12, 5.0, 5.0]), bucket()),
+], ids=["empty", "edgeless", "cycle12-dupin", "k5-lpo", "ex21-bucket_lpo",
+        "tiny_edge-bucket"])
 def test_spark_matches_local_degenerate(spark, g, sched, metric):
     rl = peel_local(g, metric, sched)
     rs = peel_spark(spark, g, metric, sched)
