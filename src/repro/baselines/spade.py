@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.graph import LocalGraph, from_edges
 from repro.core.local_engine import peel_local
-from repro.core.metrics import FD_LOG_OFFSET, Metric
+from repro.core.metrics import FD, Metric, fd_edge_weight
 from repro.core.schedules import PeelResult, sequential
 
 BATCH_SIZE = 1_000
@@ -110,24 +110,17 @@ def stale_weight_error(
         np.concatenate([base.edge_weight, inserted_amount]),
         vertex_weight=base.vertex_weight,
     )
-    deg_old = np.zeros(n, dtype=np.int64)
-    np.add.at(deg_old, base.src, 1)
-    np.add.at(deg_old, base.dst, 1)
-    deg_new = new.degrees()
 
     def fd_density(best: np.ndarray, deg: np.ndarray) -> float:
         mask = np.zeros(n, dtype=bool)
         mask[best] = True
         inside = mask[new.src] & mask[new.dst]
-        obj = np.maximum(deg[new.src], deg[new.dst]).astype(np.float64)
-        c = 1.0 / np.log(obj + FD_LOG_OFFSET)
+        c = fd_edge_weight(new, deg)
         f = float(new.vertex_weight[best].sum() + c[inside].sum())
         return f / best.size if best.size else 0.0
 
-    from repro.core.metrics import FD
-
     true_res = peel_local(new, FD, sequential())
     best = true_res.best_set
-    g_true = fd_density(best, deg_new)
-    g_stale = fd_density(best, np.maximum(deg_old, 1))
+    g_true = fd_density(best, new.degrees())
+    g_stale = fd_density(best, np.maximum(base.degrees(), 1))
     return abs(g_stale - g_true) / g_true if g_true > 0 else 0.0

@@ -1,10 +1,10 @@
 """Clique-counting substrate for the TDS / kCLiDS density metrics.
 
-``local`` enumerates triangles and k-cliques with a degeneracy-ordered
-search (the kCLIST approach of Danisch et al.); ``spark`` counts the same
-structures with DataFrame self-joins so the Spark engine can peel clique
-metrics without leaving Catalyst.
+``local`` enumerates k-cliques (triangles are ``k = 3``) with a
+degree-ordered search (the kCLIST approach of Danisch et al.). The Spark
+engine lists the same cliques itself, with DataFrame self-joins
+(``repro.core.spark_engine.cliques_df``).
 """
-from repro.cliques.local import enumerate_cliques, enumerate_triangles, count_per_vertex
+from repro.cliques.local import count_per_vertex, enumerate_cliques
 
-__all__ = ["enumerate_cliques", "enumerate_triangles", "count_per_vertex"]
+__all__ = ["enumerate_cliques", "count_per_vertex"]

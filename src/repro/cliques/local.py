@@ -8,9 +8,12 @@ out-neighbours, so each clique is produced exactly once.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.graph import LocalGraph
+if TYPE_CHECKING:  # repro.core imports this module, so no import at run time
+    from repro.core.graph import LocalGraph
 
 
 def _oriented_adj(g: LocalGraph) -> list[np.ndarray]:
@@ -34,11 +37,6 @@ def _oriented_adj(g: LocalGraph) -> list[np.ndarray]:
         nbrs = tails[bounds[u] : bounds[u + 1]]
         out[u] = np.sort(nbrs)
     return out
-
-
-def enumerate_triangles(g: LocalGraph) -> np.ndarray:
-    """All triangles as an ``(T, 3)`` int64 array (each listed once)."""
-    return enumerate_cliques(g, 3)
 
 
 def enumerate_cliques(g: LocalGraph, k: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from repro.core.schedules import (
     lpo,
     sequential,
 )
-from repro.core.spark_engine import peel_spark
 
 __all__ = [
     "Dupin",
@@ -42,3 +41,12 @@ __all__ = [
     "bucket",
     "alenex",
 ]
+
+
+def __getattr__(name):
+    # peel_spark imports pyspark, so only on first use
+    if name == "peel_spark":
+        from repro.core.spark_engine import peel_spark
+
+        return peel_spark
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,20 +9,18 @@ from __future__ import annotations
 
 from typing import Callable
 
-from pyspark.sql import SparkSession
-
 from repro.core import metrics as M
 from repro.core import schedules
 from repro.core.graph import LocalGraph
 from repro.core.local_engine import peel_local
 from repro.core.schedules import PeelResult
-from repro.core.spark_engine import peel_spark
 
 
 class Dupin:
     """Flexible DSD detector — the paper's programming abstraction."""
 
-    def __init__(self, spark: SparkSession | None = None, backend: str = "spark"):
+    def __init__(self, spark=None, backend: str = "spark"):
+        """``spark`` is the ``SparkSession`` the Spark backend runs on."""
         if backend not in ("spark", "local"):
             raise ValueError("backend must be 'spark' or 'local'")
         if backend == "spark" and spark is None:
@@ -98,6 +96,8 @@ class Dupin:
         }[self._optimization]
         if self._backend == "local":
             return peel_local(self._graph, metric, sched)
+        from repro.core.spark_engine import peel_spark
+
         return peel_spark(self._spark, self._graph, metric, sched)
 
     def _resolve_metric(self) -> M.Metric:

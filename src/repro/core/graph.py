@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass
@@ -81,10 +80,13 @@ class LocalGraph:
         )
         return verts, edges
 
-    def to_spark(self, spark: SparkSession) -> tuple[DataFrame, DataFrame]:
-        """``(vertices, edges)`` Spark DataFrames with the engine's schema."""
-        verts, edges = self.to_pandas()
-        return spark.createDataFrame(verts), spark.createDataFrame(edges)
+    def to_spark(self, spark):
+        """``(vertices, edges)`` Spark DataFrames for a ``SparkSession``,
+        built by the engine's own ingest; imported here so the local path
+        needs no ``pyspark``."""
+        from repro.core.spark_engine import ingest
+
+        return ingest(spark, self.vertex_weight, self.src, self.dst, self.edge_weight)
 
 
 def from_edges(

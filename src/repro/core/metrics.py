@@ -69,15 +69,17 @@ def _dw_builder(g: LocalGraph) -> EdgeWeights:
     return EdgeWeights(a=np.zeros(g.n), c=g.edge_weight.astype(np.float64))
 
 
-def _fd_builder(g: LocalGraph) -> EdgeWeights:
-    # Fraudar: a_i = prior suspiciousness; c_ij = 1 / log(x + c) with x the
-    # degree of the object vertex. After undirected normalization we take
-    # the higher-degree endpoint as the object (the popular item/merchant),
-    # matching the metric's intent of down-weighting popular objects.
-    deg = g.degrees()
+def fd_edge_weight(g: LocalGraph, deg: np.ndarray) -> np.ndarray:
+    """FD's ``c_ij = 1 / log(x + c)`` per edge of ``g``, ``x`` the object's
+    degree in ``deg``. The object is the higher-degree endpoint (the
+    popular item or merchant), which the metric down-weights."""
     obj_deg = np.maximum(deg[g.src], deg[g.dst]).astype(np.float64)
-    c = 1.0 / np.log(obj_deg + FD_LOG_OFFSET)
-    return EdgeWeights(a=g.vertex_weight.astype(np.float64), c=c)
+    return 1.0 / np.log(obj_deg + FD_LOG_OFFSET)
+
+
+def _fd_builder(g: LocalGraph) -> EdgeWeights:
+    a = g.vertex_weight.astype(np.float64)  # Fraudar: a_i = prior suspiciousness
+    return EdgeWeights(a=a, c=fd_edge_weight(g, g.degrees()))
 
 
 def _clique_builder(k: int) -> Callable[[LocalGraph], CliqueWeights]:

@@ -8,13 +8,18 @@ dataflow layer). The step structure is the one-pass-per-round MapReduce
 peeling of Bahmani, Kumar & Vassilvitskii (VLDB 2012): weights are kept
 as state and only the peeled batch's contribution is subtracted.
 
-- **Message table**, built once and cached, hash-partitioned by the
-  vertex whose removal sends the message: half-edges ``(src, dst, c)``
+- **Ingest**: :func:`ingest`, the one path from arrays to the
+  ``(vid, a)`` and ``(src, dst, c)`` frames (``LocalGraph.to_spark``
+  uses it too).
+- **Message table**, built once and cached, hash-partitioned by ``vid``,
+  the vertex whose removal sends the row: half-edges ``(vid, dst, c)``
   for edge metrics, or clique roles ``(vid, v0..v{k-1})`` from a single
   :func:`cliques_df` listing for clique metrics.
 - **Vertex-state table** ``(vid, a, w, stamp)``: ``w`` is the current
   peeling weight, ``stamp`` the step that removed the vertex (0 while
-  alive). It is the only per-step state.
+  alive). It is the only per-step state. The initial ``w`` is absorbed
+  from the message table, as each step's decrement is later;
+  :func:`edge_weights_df` and :func:`clique_weights_df` return it.
 
 The schedule loop is :func:`repro.core.schedules.peel`; ``_SparkState``
 gives it the six members it asks of a state. ``remove`` is one step: it
@@ -48,29 +53,17 @@ from repro.core.schedules import PeelResult, Schedule, peel
 from repro.core.worklog import WorkLog
 
 
-def _symmetric(edges: DataFrame) -> DataFrame:
-    """Both orientations of the undirected edge table."""
-    return edges.select("src", "dst", "c").unionAll(
-        edges.select(
-            F.col("dst").alias("src"), F.col("src").alias("dst"), "c"
-        )
-    )
-
-
-def edge_weights_df(verts: DataFrame, edges: DataFrame) -> DataFrame:
-    """Per-vertex peeling weight ``w = a + Σ incident c`` (edge metrics).
-
-    Public so tests can oracle-check the aggregation against DuckDB SQL.
-    """
-    inc = _symmetric(edges).groupBy("src").agg(F.sum("c").alias("wsum"))
+def ingest(spark: SparkSession, a, src, dst, c) -> tuple[DataFrame, DataFrame]:
+    """``(vid, a)`` and ``(src, dst, c)`` frames from per-vertex and per-edge
+    arrays; explicit schemas, so empty and edgeless graphs work."""
+    verts = zip(range(len(a)), np.asarray(a, dtype=np.float64).tolist())
+    edges = zip(src.tolist(), dst.tolist(), np.asarray(c, dtype=np.float64).tolist())
+    # rows built from typed arrays, so Spark need not verify each one
     return (
-        verts.join(inc, verts["vid"] == inc["src"], "left")
-        .select(
-            verts["vid"],
-            verts["a"],
-            (F.coalesce(F.col("wsum"), F.lit(0.0)) + F.col("a")).alias("w"),
-            F.coalesce(F.col("wsum"), F.lit(0.0)).alias("wsum"),
-        )
+        spark.createDataFrame(list(verts), "vid long, a double", verifySchema=False),
+        spark.createDataFrame(
+            list(edges), "src long, dst long, c double", verifySchema=False
+        ),
     )
 
 
@@ -99,38 +92,46 @@ def cliques_df(edges: DataFrame, k: int) -> DataFrame:
     return cl
 
 
-def clique_weights_df(verts: DataFrame, edges: DataFrame, k: int) -> DataFrame:
-    """Per-vertex live-clique counts; ``w`` = #cliques containing vertex."""
+def _messages(edges: DataFrame, k: int | None = None) -> DataFrame:
+    """The message table, keyed by ``vid``, the vertex whose removal sends
+    the row: half-edges ``(vid, dst, c)``, or, given ``k``, one role row
+    ``(vid, v0..v{k-1})`` per member of each k-clique, exploded from a
+    single listing so the self-joins run once."""
+    if k is None:
+        return edges.select(F.col("src").alias("vid"), "dst", "c").unionAll(
+            edges.select(F.col("dst").alias("vid"), F.col("src").alias("dst"), "c")
+        )
     members = [f"v{j}" for j in range(k)]
-    roles = cliques_df(edges, k).select(F.explode(F.array(*members)).alias("vid"))
-    counts = roles.groupBy("vid").agg(F.count(F.lit(1)).alias("cnt"))
-    return verts.join(counts, "vid", "left").select(
-        "vid",
-        "a",
-        F.coalesce(F.col("cnt"), F.lit(0)).cast("double").alias("w"),
+    return cliques_df(edges, k).select(
+        F.explode(F.array(*members)).alias("vid"), *members
     )
 
 
-def _frames(
-    spark: SparkSession, graph: LocalGraph, metric: Metric
-) -> tuple[DataFrame, DataFrame]:
-    """``(vertices, edges)`` frames with explicit schemas, so empty and
-    edgeless graphs work; edge metrics carry the metric's ``a`` and ``c``."""
-    a, c = graph.vertex_weight, graph.edge_weight
-    if metric.kind == "edge":
-        ew = metric.build(graph)
-        a, c = ew.a, ew.c
-    verts = zip(range(graph.n), np.asarray(a, dtype=np.float64).tolist())
-    edges = zip(
-        graph.src.tolist(), graph.dst.tolist(), np.asarray(c, dtype=np.float64).tolist()
-    )
-    # rows built from typed arrays, so Spark need not verify each one
-    return (
-        spark.createDataFrame(list(verts), "vid long, a double", verifySchema=False),
-        spark.createDataFrame(
-            list(edges), "src long, dst long, c double", verifySchema=False
-        ),
-    )
+def _initial(verts: DataFrame, msgs: DataFrame) -> DataFrame:
+    """The vertex-state table ``(vid, a, w, stamp=0)`` absorbed from the
+    message table: ``w = a + Σ incident c`` over half-edges (each row
+    gives its ``c`` to ``dst``), or the number of cliques containing the
+    vertex over clique roles, whatever ``a`` is."""
+    if "c" in msgs.columns:
+        w0 = F.col("a")
+        gain = msgs.select(F.col("dst").alias("vid"), F.col("c").alias("d"))
+    else:
+        w0 = F.lit(0.0)
+        gain = msgs.select("vid", F.lit(1.0).alias("d"))
+    state = verts.select("vid", "a", w0.alias("w"), F.lit(0).cast("long").alias("stamp"))
+    return _absorb(state, gain)
+
+
+def edge_weights_df(verts: DataFrame, edges: DataFrame) -> DataFrame:
+    """Per-vertex peeling weight ``w = a + Σ incident c`` (edge metrics):
+    the engine's initial state, public so tests can oracle-check it."""
+    return _initial(verts, _messages(edges))
+
+
+def clique_weights_df(verts: DataFrame, edges: DataFrame, k: int) -> DataFrame:
+    """Per-vertex clique counts ``w`` = #k-cliques containing the vertex:
+    the engine's initial state for a clique metric."""
+    return _initial(verts, _messages(edges, k))
 
 
 def _absorb(state: DataFrame, delta: DataFrame) -> DataFrame:
@@ -185,27 +186,18 @@ class _SparkState:
 
     def __init__(self, spark: SparkSession, graph: LocalGraph, metric: Metric):
         self.k, self.kind, self.n0 = metric.k, metric.kind, graph.n
-        verts, edges = _frames(spark, graph, metric)
+        a, c = graph.vertex_weight, graph.edge_weight
+        if metric.kind == "edge":
+            ew = metric.build(graph)
+            a, c = ew.a, ew.c
+        verts, edges = ingest(spark, a, graph.src, graph.dst, c)
         # AQE cannot coalesce a cached side, so size it to the platform
         parts = spark.sparkContext.defaultParallelism
-        if metric.kind == "edge":
-            self.msgs = _symmetric(edges).repartition(parts, "src").cache()
-            init = self.msgs.select(F.col("dst").alias("vid"), F.col("c").alias("d"))
-            w0 = F.col("a")
-        else:
-            self.members = [f"v{j}" for j in range(self.k)]
-            # one row per (member, clique), exploded from a single listing so
-            # the self-joins run once
-            self.msgs = cliques_df(edges, self.k).select(
-                F.explode(F.array(*self.members)).alias("vid"), *self.members
-            ).repartition(parts, "vid").cache()
-            init = self.msgs.select("vid", F.lit(1.0).alias("d"))
-            w0 = F.lit(0.0)
-        state = verts.select(
-            "vid", "a", w0.alias("w"), F.lit(0).cast("long").alias("stamp")
-        )
+        self.msgs = _messages(
+            edges, self.k if metric.kind == "clique" else None
+        ).repartition(parts, "vid").cache()
         try:
-            self.state, self.st = _checkpoint(_absorb(state, init), 0, float("inf"))
+            self.state, self.st = _checkpoint(_initial(verts, self.msgs), 0, float("inf"))
         except BaseException:
             self.msgs.unpersist()
             raise
@@ -252,17 +244,16 @@ class _SparkState:
     def _delta(self, state: DataFrame, step: int) -> DataFrame:
         """``(vid, d)`` rows that the batch stamped ``step`` takes away."""
         if self.kind == "edge":
-            batch = state.filter(F.col("stamp") == step).select(
-                F.col("vid").alias("src")
-            )
-            return self.msgs.join(batch, "src").select(
+            batch = state.filter(F.col("stamp") == step).select("vid")
+            return self.msgs.join(batch, "vid").select(
                 F.col("dst").alias("vid"), (-F.col("c")).alias("d")
             )
         # a clique dies in the step that stamps its first member
+        members = [f"v{j}" for j in range(self.k)]
         stamped = state.filter(F.col("stamp") > 0).select("vid", "stamp")
         dead = (
             self.msgs.join(stamped, "vid")
-            .groupBy(*self.members)
+            .groupBy(*members)
             .agg(
                 F.min("stamp").alias("first"),
                 F.collect_list("vid").alias("gone"),
@@ -270,7 +261,7 @@ class _SparkState:
             .filter(F.col("first") == step)
         )
         return dead.select(
-            F.explode(F.array_except(F.array(*self.members), "gone")).alias("vid"),
+            F.explode(F.array_except(F.array(*members), "gone")).alias("vid"),
             F.lit(-1.0).alias("d"),
         )
 

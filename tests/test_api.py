@@ -1,7 +1,12 @@
 """Tests for the Dupin user-facing API (paper §3, Listings 1–4)."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import Dupin, from_edges, peel_local
 from repro.core.schedules import gpo, lpo
 from repro.graphgen import chung_lu_with_communities
@@ -110,3 +115,24 @@ def test_detected_community_overlaps_planted_fraud():
     found = set(d.ParDetect().best_set.tolist())
     plant = set(np.flatnonzero(g.labels["fraud_community"] == 0).tolist())
     assert len(found & plant) / len(plant) >= 0.7
+
+
+def test_local_path_imports_no_pyspark():
+    """``repro.cliques`` imports first without a cycle, and the local
+    engine, the baselines and the table harness run without ``pyspark``;
+    only the Spark backend imports it."""
+    code = """
+import sys
+import repro.cliques, repro.core, repro.baselines, repro.experiments.tables
+from repro.core import DW, from_edges, lpo, peel_local
+res = peel_local(from_edges(4, [0, 1, 2], [1, 2, 0]), DW, lpo(0.1))
+assert res.best_set.size == 3, res.best_set
+assert "pyspark" not in sys.modules, sorted(m for m in sys.modules if "repro" in m)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr

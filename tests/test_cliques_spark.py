@@ -1,46 +1,45 @@
 """Spark DataFrame clique counting vs the local substrate and DuckDB."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.cliques.local import enumerate_cliques
 from repro.core.graph import from_edges
-from repro.core.spark_engine import clique_weights_df, cliques_df
+from repro.core.spark_engine import clique_weights_df, cliques_df, ingest
 from repro.oracle import assert_equivalent
 
 
-def _graph(seed, n=18, m=50):
+def _graph(seed, n=18, m=50, vertex_weight=None):
     rng = np.random.default_rng(seed)
-    return from_edges(n, rng.integers(0, n, m), rng.integers(0, n, m))
+    return from_edges(
+        n, rng.integers(0, n, m), rng.integers(0, n, m), vertex_weight=vertex_weight
+    )
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_spark_clique_count_matches_local(spark, k):
     g = _graph(21)
-    edges = pd.DataFrame({"src": g.src, "dst": g.dst, "c": g.edge_weight})
-    got = cliques_df(spark.createDataFrame(edges), k).count()
+    _, edges = g.to_spark(spark)
+    got = cliques_df(edges, k).count()
     assert got == enumerate_cliques(g, k).shape[0]
 
 
 def test_spark_cliques_are_ordered_tuples(spark):
     g = _graph(22)
-    edges = pd.DataFrame({"src": g.src, "dst": g.dst, "c": g.edge_weight})
-    rows = cliques_df(spark.createDataFrame(edges), 3).collect()
+    _, edges = g.to_spark(spark)
+    rows = cliques_df(edges, 3).collect()
     for r in rows:
         assert r["v0"] < r["v1"] < r["v2"]
 
 
-def test_clique_weights_df_matches_local_counts(spark):
-    g = _graph(23)
+@pytest.mark.parametrize("a", [None, np.linspace(0.5, 9.0, 18)], ids=["a0", "a-nonzero"])
+def test_clique_weights_df_matches_local_counts(spark, a):
+    """``w`` is the clique count; ``a`` does not count in it."""
+    g = _graph(23, vertex_weight=a)
     tri = enumerate_cliques(g, 3)
     counts = np.zeros(g.n, dtype=np.int64)
     if tri.size:
         np.add.at(counts, tri.ravel(), 1)
-    verts = pd.DataFrame({"vid": np.arange(g.n), "a": np.zeros(g.n)})
-    edges = pd.DataFrame({"src": g.src, "dst": g.dst, "c": g.edge_weight})
-    wdf = clique_weights_df(
-        spark.createDataFrame(verts), spark.createDataFrame(edges), 3
-    )
+    wdf = clique_weights_df(*g.to_spark(spark), 3)
     got = {r["vid"]: r["w"] for r in wdf.collect()}
     for v in range(g.n):
         assert got[v] == pytest.approx(float(counts[v]))
@@ -49,11 +48,8 @@ def test_clique_weights_df_matches_local_counts(spark):
 def test_per_vertex_triangle_counts_oracle(spark):
     """Per-vertex triangle membership counts vs the DuckDB SQL version."""
     g = _graph(24)
-    verts = pd.DataFrame({"vid": np.arange(g.n), "a": np.zeros(g.n)})
-    edges = pd.DataFrame({"src": g.src, "dst": g.dst, "c": g.edge_weight})
-    wdf = clique_weights_df(
-        spark.createDataFrame(verts), spark.createDataFrame(edges), 3
-    ).select("vid", "w")
+    verts, edges = ingest(spark, g.vertex_weight, g.src, g.dst, g.edge_weight)
+    wdf = clique_weights_df(verts, edges, 3).select("vid", "w")
     assert_equivalent(
         wdf,
         """

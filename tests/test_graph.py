@@ -81,12 +81,18 @@ def test_to_pandas_schema():
     assert len(verts) == 3 and len(edges) == 2
 
 
-def test_to_spark_roundtrip(spark):
-    g = from_edges(3, [0, 1], [1, 2], [1.5, 2.5])
+@pytest.mark.parametrize("g,want", [
+    (from_edges(3, [0, 1], [1, 2], [1.5, 2.5]), {(0, 1): 1.5, (1, 2): 2.5}),
+    (from_edges(0, [], []), {}),
+    (from_edges(3, [], []), {}),
+], ids=["path", "empty", "edgeless"])
+def test_to_spark_roundtrip(spark, g, want):
     verts, edges = g.to_spark(spark)
-    assert verts.count() == 3
+    assert verts.dtypes == [("vid", "bigint"), ("a", "double")]
+    assert edges.dtypes == [("src", "bigint"), ("dst", "bigint"), ("c", "double")]
+    assert verts.count() == g.n
     rows = {(r["src"], r["dst"]): r["c"] for r in edges.collect()}
-    assert rows == {(0, 1): 1.5, (1, 2): 2.5}
+    assert rows == want
 
 
 def test_labels_carried():

@@ -3,14 +3,13 @@ on the engine's internal aggregations."""
 import uuid
 
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.core import DG, DW, FD, TDS, from_edges, kclids, peel_local, peel_spark
 from repro.core.schedules import (
     bucket, bucket_gpo, bucket_lpo, dupin, gpo, lpo, sequential,
 )
-from repro.core.spark_engine import cliques_df, edge_weights_df
+from repro.core.spark_engine import cliques_df, edge_weights_df, ingest
 from repro.graphgen import load_dataset
 from repro.oracle import assert_equivalent
 
@@ -210,15 +209,18 @@ def test_spark_densities_match_local(spark):
 
 # ---- oracle checks on the engine's internal aggregations ----------------
 
-def test_edge_weights_df_oracle(spark):
+@pytest.mark.parametrize("metric,g", [
+    (DW, _graph(7, n=18, m=50)),
+    # nonzero a, and isolated vertices whose w is a alone
+    (FD, _graph(7, n=30, m=20)),
+], ids=["DW", "FD-isolated"])
+def test_edge_weights_df_oracle(spark, metric, g):
     """The per-vertex weight aggregation equals the equivalent SQL."""
-    g = _graph(7, n=18, m=50)
-    ew = DW.build(g)
-    verts = pd.DataFrame({"vid": np.arange(g.n), "a": ew.a})
-    edges = pd.DataFrame({"src": g.src, "dst": g.dst, "c": ew.c})
-    sdf = edge_weights_df(
-        spark.createDataFrame(verts), spark.createDataFrame(edges)
-    ).select("vid", "w")
+    ew = metric.build(g)
+    if metric is FD:
+        assert (g.degrees() == 0).any() and (ew.a > 0).all()
+    verts, edges = ingest(spark, ew.a, g.src, g.dst, ew.c)
+    sdf = edge_weights_df(verts, edges).select("vid", "w")
     assert_equivalent(
         sdf,
         """
@@ -241,10 +243,8 @@ def test_edge_weights_df_oracle(spark):
 def test_triangle_count_oracle(spark):
     """DataFrame triangle listing equals the DuckDB three-way join."""
     g = _graph(8, n=16, m=45)
-    edges = pd.DataFrame({"src": g.src, "dst": g.dst, "c": g.edge_weight})
-    tri = cliques_df(
-        spark.createDataFrame(edges), 3
-    ).groupBy().count().withColumnRenamed("count", "n_tri")
+    _, edges = g.to_spark(spark)
+    tri = cliques_df(edges, 3).groupBy().count().withColumnRenamed("count", "n_tri")
     assert_equivalent(
         tri,
         """
