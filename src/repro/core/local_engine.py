@@ -7,18 +7,19 @@ algorithms as DataFrame jobs; tests assert the two produce identical
 peeling decisions.
 
 The schedule loop is :func:`repro.core.schedules.peel`; this module
-supplies its state. ``_EdgeState`` (DG/DW/FD) and ``_CliqueState``
-(TDS/kCLiDS) keep the weights ``w`` and ``f`` under removal; their
-``remove`` walks a batch's neighbours once and returns the number of
-weight updates with the alive vertices they touched. A selection
-wrapper adds the driver's members ``n``, ``g``, ``lo()``, ``hi()``,
-``remove()`` and ``stamps()``: threshold schedules select with one
-vectorised mask over the alive vertices (``_Scan``), bucket and
-sequential schedules with a lazy min-heap (``_Heap``), so a bucket round
-costs its bucket, not a full scan. The heap is frontier-bounded: it
-holds entries only for the alive vertices at or under a weight θ, and
-raises θ past the next K alive weights with one vectorised partition
-when it runs dry, so a step pushes only the touched vertices under θ.
+supplies its state. ``EdgeState`` (DG/DW/FD) and ``CliqueState``
+(TDS/kCLiDS), built from arrays, keep the weights ``w`` and ``f`` under
+removal; their ``remove`` walks a batch's neighbours once and returns
+the number of weight updates with the alive vertices they touched. A
+selection wrapper (:func:`selector`) adds the driver's members ``n``,
+``g``, ``lo()``, ``hi()``, ``remove()`` and ``stamps()``: threshold
+schedules select with one vectorised mask over the alive vertices
+(``_Scan``), bucket and sequential schedules with a lazy min-heap
+(``_Heap``), so a bucket round costs its bucket, not a full scan. The
+heap is frontier-bounded: it holds entries only for the alive vertices
+at or under a weight θ, and raises θ past the next K alive weights with
+one vectorised partition when it runs dry, so a step pushes only the
+touched vertices under θ.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import math
 import numpy as np
 
 from repro.core.graph import LocalGraph
-from repro.core.metrics import CliqueWeights, EdgeWeights, Metric
+from repro.core.metrics import Metric
 from repro.core.schedules import TOL, PeelResult, Schedule, peel
 from repro.core.worklog import WorkLog
 
@@ -43,27 +44,25 @@ def _slots(ptr: np.ndarray, batch: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - (ends - lens), lens)
 
 
-class _EdgeState:
-    """Peeling state for DG/DW/FD: w_u = a_u + Σ incident c."""
+class EdgeState:
+    """Peeling state for DG/DW/FD: w_u = a_u + Σ incident alive c. Built
+    from arrays: ``a`` and ``w`` per vertex, ``c`` per edge, the half-edge
+    ``csr`` ``(indptr, nbr, eid)`` and ``f``. A removal counts its CSR
+    half-edges as weight updates; a tail of a larger graph passes ``deg``,
+    the vertices' degrees in that graph, to count those instead."""
 
-    def __init__(self, g: LocalGraph, ew: EdgeWeights):
-        self.g = g
-        self.a = ew.a
-        self.c = ew.c
-        indptr, nbr, eid = g.csr()
-        self.indptr, self.nbr, self.eid = indptr, nbr, eid
-        self.w = ew.a.copy()
-        np.add.at(self.w, g.src, ew.c)
-        np.add.at(self.w, g.dst, ew.c)
-        self.f = float(ew.a.sum() + ew.c.sum())
+    def __init__(self, a, w, f: float, c, csr, deg=None):
+        self.a, self.w, self.f, self.c, self.deg = a, w, f, c, deg
+        self.indptr, self.nbr, self.eid = csr
 
     def remove(self, batch: np.ndarray, stamp: np.ndarray, step: int):
         """Remove ``batch`` (already stamped with ``step``); returns the
         number of weight updates and the alive neighbours they touched."""
         idx = _slots(self.indptr, batch)
         self.f -= float(self.a[batch].sum())
+        updates = idx.size if self.deg is None else int(self.deg[batch].sum())
         if not idx.size:
-            return 0, idx
+            return updates, idx
         nbrs = self.nbr[idx]
         cw = self.c[self.eid[idx]]
         alive = stamp[nbrs] == 0
@@ -71,32 +70,21 @@ class _EdgeState:
         np.subtract.at(self.w, nbrs[alive], cw[alive])
         # f loses: vertex priors + every edge leaving the subgraph once.
         self.f -= float(cw[alive].sum()) + 0.5 * float(cw[same].sum())
-        return idx.size, nbrs[alive]
+        return updates, nbrs[alive]
 
 
-class _CliqueState:
-    """Peeling state for TDS/kCLiDS: w_u = #live cliques containing u."""
+class CliqueState:
+    """Peeling state for TDS/kCLiDS: w_u = #live cliques containing u.
+    Built from arrays: ``w``, ``f`` = #live cliques, and those cliques."""
 
-    def __init__(self, g: LocalGraph, cw: CliqueWeights, k: int):
-        self.k = k
-        self.cliques = cw.cliques
-        C = self.cliques.shape[0]
-        self.alive_clique = np.ones(C, dtype=bool)
-        self.w = np.zeros(g.n, dtype=np.float64)
-        if C:
-            np.add.at(self.w, self.cliques.ravel(), 1.0)
-        self.f = float(C)
+    def __init__(self, w, f: float, cliques: np.ndarray, k: int):
+        self.w, self.f, self.cliques, self.k = w, f, cliques, k
+        self.alive_clique = np.ones(cliques.shape[0], dtype=bool)
         # membership CSR: vertex -> clique ids
-        if C:
-            flat = self.cliques.ravel()
-            cids = np.repeat(np.arange(C, dtype=np.int64), k)
-            order = np.argsort(flat, kind="stable")
-            flat, cids = flat[order], cids[order]
-            self.mem_ptr = np.searchsorted(flat, np.arange(g.n + 1))
-            self.mem_cid = cids
-        else:
-            self.mem_ptr = np.zeros(g.n + 1, dtype=np.int64)
-            self.mem_cid = np.empty(0, dtype=np.int64)
+        flat = cliques.ravel()
+        order = np.argsort(flat, kind="stable")
+        self.mem_cid = np.repeat(np.arange(cliques.shape[0], dtype=np.int64), k)[order]
+        self.mem_ptr = np.searchsorted(flat[order], np.arange(w.size + 1))
 
     def remove(self, batch: np.ndarray, stamp: np.ndarray, step: int):
         """Kill the live cliques of ``batch``; returns the number of
@@ -115,9 +103,15 @@ def make_state(graph: LocalGraph, metric: Metric):
     """Fresh peeling state for ``graph`` under ``metric`` (public so
     baselines with non-standard schedules reuse the audited machinery)."""
     weights = metric.build(graph)
-    if metric.kind == "edge":
-        return _EdgeState(graph, weights)
-    return _CliqueState(graph, weights, metric.k)
+    if metric.kind == "clique":
+        cl = weights.cliques
+        w = np.bincount(cl.ravel(), minlength=graph.n).astype(np.float64)
+        return CliqueState(w, float(cl.shape[0]), cl, metric.k)
+    a, c = weights.a, weights.c
+    w = a.copy()
+    np.add.at(w, graph.src, c)
+    np.add.at(w, graph.dst, c)
+    return EdgeState(a, w, float(a.sum() + c.sum()), c, graph.csr())
 
 
 class _Scan:
@@ -260,6 +254,12 @@ class _Heap(_Scan):
         self._push(touched[self.state.w[touched] <= self.theta])
 
 
+def selector(schedule: Schedule) -> type:
+    """The selection wrapper of ``schedule``: a vectorised scan for
+    threshold schedules, the frontier heap for bucket and sequential."""
+    return _Scan if schedule.mode == "threshold" else _Heap
+
+
 def peel_local(graph: LocalGraph, metric: Metric, schedule: Schedule) -> PeelResult:
     """Run one peeling schedule on one graph; see module docstring.
 
@@ -271,5 +271,4 @@ def peel_local(graph: LocalGraph, metric: Metric, schedule: Schedule) -> PeelRes
     if metric.kind == "clique":
         # enumeration cost ~ k·|E|·α(G)^(k-2); charge the materialized size
         log.init_work = float(state.cliques.size)
-    select = _Scan if schedule.mode == "threshold" else _Heap
-    return peel(select(state, graph.n), schedule, metric.k, log)
+    return peel(selector(schedule)(state, graph.n), schedule, metric.k, log)

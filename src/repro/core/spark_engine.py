@@ -15,10 +15,11 @@ as state and only the peeled batch's contribution is subtracted.
   the vertex whose removal sends the row: half-edges ``(vid, dst, c)``
   for edge metrics, or clique roles ``(vid, v0..v{k-1})`` from a single
   :func:`cliques_df` listing for clique metrics.
-- **Vertex-state table** ``(vid, a, w, stamp)``: ``w`` is the current
-  peeling weight, ``stamp`` the step that removed the vertex (0 while
-  alive). It is the only per-step state. The initial ``w`` is absorbed
-  from the message table, as each step's decrement is later;
+- **Vertex-state table** ``(vid, a, w, stamp, deg)``: ``w`` is the
+  current peeling weight, ``stamp`` the step that removed the vertex (0
+  while alive), ``deg`` the live message rows that reach it. It is the
+  only per-step state. The initial ``w`` and ``deg`` are absorbed from
+  the message table, as each step's decrements are later;
   :func:`edge_weights_df` and :func:`clique_weights_df` return it.
 
 The schedule loop is :func:`repro.core.schedules.peel`; ``_SparkState``
@@ -27,11 +28,27 @@ stamps the alive vertices that meet the driver's condition with a
 ``when`` expression, subtracts from each surviving vertex what the
 just-stamped batch contributed (its half-edges, or the cliques that die
 with it), and materialises the new table with one ``localCheckpoint``.
-The step's scalars (|S|, Σa, Σw, min and max alive ``w``, the batch size
-and its long-tail count) ride on that same job through
-``DataFrame.observe``, so ``n``, ``g``, ``lo()`` and ``hi()`` read them
-without another action; a refused LPO trim runs no job. ``stamps()``
-collects the stamps once, at the end.
+The step's scalars (|S|, Σa, Σw, min and max alive ``w``, the alive
+message rows, the step's weight updates, the batch size and its
+long-tail count) ride on that same job through ``DataFrame.observe``, so
+``n``, ``g``, ``lo()`` and ``hi()`` read them without another action; a
+refused LPO trim runs no job. Each checkpoint and its table replace the
+previous one, whose blocks are freed.
+
+**Handoff.** Threshold rounds remove most of a graph in the first steps,
+after which a Spark step mostly pays its fixed cost. So, as in the
+filtering method of Lattanzi, Moseley, Suri & Vassilvitskii (SPAA 2011),
+the run shrinks the graph on Spark until it fits the driver, then
+finishes there: once the alive message rows fall to a quarter of the
+set-up rows and to at most :data:`HANDOFF_ROWS` (:func:`_hand_off`, a
+fixed rule, never met at set-up by a graph with messages), the state
+collects the state table and the alive messages as Arrow columns,
+remaps the alive vids to ``0..n'-1``, and continues the *same*
+:func:`~repro.core.schedules.peel` run on a local ``_Scan`` or ``_Heap``
+seeded with Spark's ``w`` and ``f``. Steps carry on, the stamps merge,
+and ``WorkLog.handoff`` records the last Spark step (``None`` if the run
+ended on Spark). ``stamps()`` collects the stamps once, at the end or at
+the handoff.
 
 The engine accepts the same :class:`~repro.core.schedules.Schedule`
 objects as the local engine for the parallel modes (``threshold`` and
@@ -39,15 +56,20 @@ objects as the local engine for the parallel modes (``threshold`` and
 and stay on the local engine (see DESIGN.md §4).
 
 Results are bit-compatible with ``local_engine`` (one driver, one TOL);
-``tests/test_spark_engine.py`` asserts identical peel sets per round.
+``tests/test_spark_engine.py`` asserts identical peel sets and WorkLog
+records per step, with the handoff rule at its default, at "never" and
+at "right after set-up".
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.graph import LocalGraph
+from repro.core.graph import LocalGraph, half_edge_csr
+from repro.core.local_engine import CliqueState, EdgeState, selector
 from repro.core.metrics import Metric
 from repro.core.schedules import PeelResult, Schedule, peel
 from repro.core.worklog import WorkLog
@@ -108,18 +130,21 @@ def _messages(edges: DataFrame, k: int | None = None) -> DataFrame:
 
 
 def _initial(verts: DataFrame, msgs: DataFrame) -> DataFrame:
-    """The vertex-state table ``(vid, a, w, stamp=0)`` absorbed from the
-    message table: ``w = a + Σ incident c`` over half-edges (each row
+    """The vertex-state table ``(vid, a, w, stamp=0, deg)`` absorbed from
+    the message table: ``w = a + Σ incident c`` over half-edges (each row
     gives its ``c`` to ``dst``), or the number of cliques containing the
-    vertex over clique roles, whatever ``a`` is."""
+    vertex over clique roles, whatever ``a`` is; ``deg`` counts the rows."""
     if "c" in msgs.columns:
         w0 = F.col("a")
         gain = msgs.select(F.col("dst").alias("vid"), F.col("c").alias("d"))
     else:
         w0 = F.lit(0.0)
         gain = msgs.select("vid", F.lit(1.0).alias("d"))
-    state = verts.select("vid", "a", w0.alias("w"), F.lit(0).cast("long").alias("stamp"))
-    return _absorb(state, gain)
+    zero = F.lit(0).cast("long")
+    state = verts.select(
+        "vid", "a", w0.alias("w"), zero.alias("stamp"), zero.alias("deg")
+    )
+    return _absorb(state, gain.withColumn("deg", F.lit(1)))
 
 
 def edge_weights_df(verts: DataFrame, edges: DataFrame) -> DataFrame:
@@ -135,7 +160,13 @@ def clique_weights_df(verts: DataFrame, edges: DataFrame, k: int) -> DataFrame:
 
 
 def _absorb(state: DataFrame, delta: DataFrame) -> DataFrame:
-    """Add each alive vertex's ``delta`` rows ``(vid, d)`` to its ``w``.
+    """Add each vertex's ``delta`` rows ``(vid, d, deg)``: ``d`` to ``w``
+    while it is alive, and ``deg`` (±1 a row) whether or not.
+
+    So ``deg`` counts the live message rows that reach the vertex: its
+    alive neighbours' half-edges, or its live cliques. Over the alive
+    vertices it sums to the alive message rows, and over all vertices it
+    drops in a step by the delta rows, the step's weight updates.
 
     A union and one ``groupBy`` instead of an aggregate plus a join, so
     the state and the messages meet in a single shuffle.
@@ -148,6 +179,7 @@ def _absorb(state: DataFrame, delta: DataFrame) -> DataFrame:
         F.max("w").alias("w"),
         F.max("stamp").alias("stamp"),
         F.sum("d").alias("d"),
+        F.sum("deg").alias("deg"),
     ).select(
         "vid",
         "a",
@@ -155,14 +187,16 @@ def _absorb(state: DataFrame, delta: DataFrame) -> DataFrame:
         .otherwise(F.col("w"))
         .alias("w"),
         "stamp",
+        "deg",
     )
 
 
 def _checkpoint(state: DataFrame, step: int, tail: float):
     """Materialise ``state``; returns it with the step's scalars, observed
     on the same job: alive ``n``, ``sa`` = Σa, ``sw`` = Σw, ``lo`` =
-    min ``(w, vid)``, ``hi`` = max ``w``, and ``batch`` / ``tail`` = the
-    vertices stamped ``step``, all / those with ``w > tail``."""
+    min ``(w, vid)``, ``hi`` = max ``w``, ``rows`` = Σ alive ``deg``,
+    ``deg`` = Σ ``deg``, and ``batch`` / ``tail`` = the vertices stamped
+    ``step``, all / those with ``w > tail``."""
     alive = F.col("stamp") == 0
     now = F.col("stamp") == step
     obs = Observation()
@@ -173,19 +207,62 @@ def _checkpoint(state: DataFrame, step: int, tail: float):
         F.sum(F.when(alive, F.col("w"))).alias("sw"),
         F.min(F.when(alive, F.struct("w", "vid"))).alias("lo"),
         F.max(F.when(alive, F.col("w"))).alias("hi"),
+        F.sum(F.when(alive, F.col("deg"))).alias("rows"),
+        F.sum("deg").alias("deg"),
         F.count(F.when(now, 1)).alias("batch"),
         F.count(F.when(now & (F.col("w") > tail), 1)).alias("tail"),
     ).localCheckpoint(eager=True)
     return state, obs.get
 
 
+def _free(table: DataFrame) -> None:
+    """Drop the blocks of a ``localCheckpoint``-ed table, which
+    ``DataFrame.unpersist`` does not reach: they are the RDD under its
+    plan."""
+    table._jdf.queryExecution().logical().rdd().unpersist(False)
+
+
+def _arrays(df: DataFrame) -> list[np.ndarray]:
+    """The columns of ``df`` as NumPy arrays, collected as Arrow batches."""
+    return [col.to_numpy() for col in df.toArrow().columns]
+
+
+# The most alive message rows a run finishes on the driver. The handoff
+# collects them as NumPy columns (the two halves of an edge as one 24 B
+# row; a clique's k roles as one row of k ids, 8 B a role) and builds the
+# local CSR from them: with the sort's temporaries, ~80 B a row at the
+# peak, so 4M rows need ~0.35 GB of driver memory, plus ~64 MB in the JVM
+# to broadcast their live ends (a vertex with a live row has one of its
+# own, so there are at most 4M of them).
+HANDOFF_ROWS = 1 << 22
+
+
+def _hand_off(rows: int, rows0: int) -> bool:
+    """Whether a run whose alive message rows fell from ``rows0`` at set-up
+    to ``rows`` finishes on the driver. A quarter of the set-up rows binds
+    at repo scale, where one more Spark step costs more than the driver's
+    whole tail; HANDOFF_ROWS binds at paper scale. A graph with messages
+    never meets it at set-up, so the first step always runs on Spark."""
+    return rows <= min(rows0 // 4, HANDOFF_ROWS)
+
+
 class _SparkState:
     """The driver's peeling state over the vertex-state table; every
     member but :meth:`remove` and :meth:`stamps` reads the scalars
-    observed on the last checkpoint, so it runs no Spark job."""
+    observed on the last checkpoint, so it runs no Spark job.
 
-    def __init__(self, spark: SparkSession, graph: LocalGraph, metric: Metric):
-        self.k, self.kind, self.n0 = metric.k, metric.kind, graph.n
+    Once :func:`_hand_off` holds after a checkpoint, the state collects
+    the alive graph and hands the rest of the run to a local ``_Scan`` or
+    ``_Heap`` over it (:meth:`_finish_locally`); every member then
+    delegates to that ``local`` state, with vids mapped through ``ids``, the
+    sorted alive vids at the handoff, whose positions are the local ids.
+    """
+
+    def __init__(self, spark: SparkSession, graph: LocalGraph, metric: Metric,
+                 schedule: Schedule):
+        self.k, self.kind, self.graph = metric.k, metric.kind, graph
+        self.select = selector(schedule)
+        self.state = self.local = self.handoff = None
         a, c = graph.vertex_weight, graph.edge_weight
         if metric.kind == "edge":
             ew = metric.build(graph)
@@ -197,34 +274,47 @@ class _SparkState:
             edges, self.k if metric.kind == "clique" else None
         ).repartition(parts, "vid").cache()
         try:
-            self.state, self.st = _checkpoint(_initial(verts, self.msgs), 0, float("inf"))
+            self.state, self.st = _checkpoint(_initial(verts, self.msgs), 0, math.inf)
+            self.rows0 = self.st["rows"] or 0
+            self._finish_locally(0)
         except BaseException:
-            self.msgs.unpersist()
+            self.close()
             raise
 
     @property
     def n(self) -> int:
-        return self.st["n"]
+        return self.local.n if self.local else self.st["n"]
+
+    def _f(self) -> float:
+        """f of the alive set, from the observed sums."""
+        sa, sw = self.st["sa"], self.st["sw"]
+        if self.kind == "edge":
+            return sa + (sw - sa) / 2.0  # w = a + Σ incident c
+        return sw / self.k  # each live clique counts in k members' w
 
     @property
     def g(self) -> float:
-        """g of the alive set, from the observed sums."""
-        if not self.st["n"]:
-            return 0.0
-        sa, sw = self.st["sa"], self.st["sw"]
-        if self.kind == "edge":
-            return (sa + (sw - sa) / 2.0) / self.st["n"]  # w = a + Σ incident c
-        return sw / self.k / self.st["n"]  # each live clique counts in k members' w
+        if self.local:
+            return self.local.g
+        return self._f() / self.st["n"] if self.st["n"] else 0.0
 
     def lo(self) -> tuple[float, int]:
+        if self.local:
+            w, v = self.local.lo()
+            return w, int(self.ids[v])
         return self.st["lo"]  # a Row (w, vid)
 
     def hi(self) -> float:
-        return self.st["hi"]
+        return self.local.hi() if self.local else self.st["hi"]
 
-    def remove(self, step, le=None, lt=None, vid=None, tail=float("inf")):
+    def remove(self, step, le=None, lt=None, vid=None, tail=math.inf):
         """One step: stamp the alive vertices meeting the condition,
-        subtract their contribution, checkpoint, observe."""
+        subtract their contribution, checkpoint, observe; the weight
+        updates are the delta rows, as the local engine counts them."""
+        if self.local:
+            if vid is not None:
+                vid = int(np.searchsorted(self.ids, vid))
+            return self.local.remove(step, le=le, lt=lt, vid=vid, tail=tail)
         if vid is not None:
             cond = F.col("vid") == vid
         elif le is not None:
@@ -236,62 +326,119 @@ class _SparkState:
             F.when((F.col("stamp") == 0) & cond, F.lit(step).cast("long"))
             .otherwise(F.col("stamp")),
         )
+        old, deg = self.state, self.st["deg"]
         self.state, self.st = _checkpoint(
             _absorb(state, self._delta(state, step)), step, tail
         )
-        return self.st["batch"], self.st["tail"], self.st["batch"]
+        _free(old)
+        done = self.st["batch"], self.st["tail"], deg - self.st["deg"]
+        self._finish_locally(step)
+        return done
 
     def _delta(self, state: DataFrame, step: int) -> DataFrame:
-        """``(vid, d)`` rows that the batch stamped ``step`` takes away."""
+        """``(vid, d, deg)`` rows that the batch stamped ``step`` takes away:
+        one per half-edge of the batch, or per role of each clique that
+        dies with it."""
         if self.kind == "edge":
             batch = state.filter(F.col("stamp") == step).select("vid")
-            return self.msgs.join(batch, "vid").select(
+            rows = self.msgs.join(batch, "vid").select(
                 F.col("dst").alias("vid"), (-F.col("c")).alias("d")
             )
-        # a clique dies in the step that stamps its first member
-        members = [f"v{j}" for j in range(self.k)]
-        stamped = state.filter(F.col("stamp") > 0).select("vid", "stamp")
-        dead = (
-            self.msgs.join(stamped, "vid")
-            .groupBy(*members)
-            .agg(
-                F.min("stamp").alias("first"),
-                F.collect_list("vid").alias("gone"),
+        else:
+            # a clique dies in the step that stamps its first member
+            members = [f"v{j}" for j in range(self.k)]
+            stamped = state.filter(F.col("stamp") > 0).select("vid", "stamp")
+            dead = (
+                self.msgs.join(stamped, "vid")
+                .groupBy(*members)
+                .agg(F.min("stamp").alias("first"))
+                .filter(F.col("first") == step)
             )
-            .filter(F.col("first") == step)
+            rows = dead.select(
+                F.explode(F.array(*members)).alias("vid"), F.lit(-1.0).alias("d")
+            )
+        return rows.withColumn("deg", F.lit(-1))
+
+    def _finish_locally(self, step: int) -> None:
+        """Hand the run to the local engine if :func:`_hand_off` holds.
+
+        Collects the state table and the alive messages as NumPy columns
+        (three jobs: the state, the broadcast of the live vertices, the
+        messages), remaps the alive vids to ``0..n'-1``, and seeds the
+        local state with Spark's ``w`` and ``f``, so the tail continues
+        this run's own numbers. Steps carry on; :meth:`stamps` merges the
+        stamps. The Spark tables are freed.
+        """
+        if not self.st["n"] or not _hand_off(self.st["rows"], self.rows0):
+            return
+        vid, a, w, stamp = _arrays(self.state.select("vid", "a", "w", "stamp"))
+        self.stamp = np.zeros(self.graph.n, dtype=np.int64)
+        self.stamp[vid] = stamp
+        alive = stamp == 0
+        order = np.argsort(vid[alive])
+        self.ids, a, w = vid[alive][order], a[alive][order], w[alive][order]
+        # a live message's ends are alive vertices with live messages:
+        # at most ``rows`` of them, so they are broadcast
+        live = F.broadcast(
+            self.state.filter((F.col("stamp") == 0) & (F.col("deg") > 0)).select("vid")
         )
-        return dead.select(
-            F.explode(F.array_except(F.array(*members), "gone")).alias("vid"),
-            F.lit(-1.0).alias("d"),
-        )
+        if self.kind == "edge":  # each edge once, as its src < dst half
+            ends = ["src", "dst"]
+            rows = self.msgs.filter(F.col("vid") < F.col("dst"))
+            rows = rows.withColumnRenamed("vid", "src")
+        else:  # each clique once, as its v0 role
+            ends = [f"v{j}" for j in range(self.k)]
+            rows = self.msgs.filter(F.col("vid") == F.col("v0"))
+        for end in ends:  # one broadcast, reused by every end
+            rows = rows.join(live.withColumnRenamed("vid", end), end, "left_semi")
+        if self.kind == "edge":
+            src, dst, c = _arrays(rows.select(*ends, "c"))
+            src, dst = np.searchsorted(self.ids, src), np.searchsorted(self.ids, dst)
+            csr = half_edge_csr(self.ids.size, src, dst)
+            tail = EdgeState(a, w, self._f(), c, csr, self.graph.degrees()[self.ids])
+        else:
+            cliques = np.column_stack(_arrays(rows.select(*ends)))
+            tail = CliqueState(w, self._f(), np.searchsorted(self.ids, cliques), self.k)
+        self.local, self.handoff = self.select(tail, self.ids.size), step
+        self.close()
 
     def stamps(self) -> np.ndarray:
-        stamp = np.zeros(self.n0, dtype=np.int64)
-        rows = self.state.select("vid", "stamp").collect()
-        if rows:
-            vid, stp = np.asarray(rows, dtype=np.int64).T
-            stamp[vid] = stp
+        if self.local:
+            self.stamp[self.ids] = self.local.stamps()
+            return self.stamp
+        vid, stp = _arrays(self.state.select("vid", "stamp"))
+        stamp = np.zeros(self.graph.n, dtype=np.int64)
+        stamp[vid] = stp
         return stamp
+
+    def close(self) -> None:
+        """Free the cached message table and the checkpointed state."""
+        self.msgs.unpersist()
+        if self.state is not None:
+            _free(self.state)
+            self.state = None
 
 
 def peel_spark(
     spark: SparkSession, graph: LocalGraph, metric: Metric, schedule: Schedule
 ) -> PeelResult:
-    """Run a parallel peeling schedule as iterative Spark jobs.
+    """Run a parallel peeling schedule as iterative Spark jobs, finishing
+    on the driver once the alive graph is small.
 
     Returns the same :class:`PeelResult` shape as the local engine, so the
     table harnesses and tests treat backends interchangeably: the per-step
     figures are views of the WorkLog trace, which records the same steps
-    as the local engine's (weight updates aside, which Spark does not
-    count).
+    as the local engine's, and ``worklog.handoff`` the last Spark step.
     """
     if schedule.mode == "sequential":
         raise ValueError(
             "sequential schedules are span-bound by definition; "
             "run them on the local engine (DESIGN.md §4)"
         )
-    state = _SparkState(spark, graph, metric)
+    state = _SparkState(spark, graph, metric, schedule)
     try:
-        return peel(state, schedule, metric.k, WorkLog(n=graph.n, m=graph.m))
+        res = peel(state, schedule, metric.k, WorkLog(n=graph.n, m=graph.m))
     finally:
-        state.msgs.unpersist()
+        state.close()
+    res.worklog.handoff = state.handoff
+    return res

@@ -1,11 +1,13 @@
 """Spark engine ≡ local engine, peel-for-peel, plus DuckDB oracle checks
 on the engine's internal aggregations."""
+import dataclasses
 import uuid
 
 import numpy as np
 import pytest
 
 from repro.core import DG, DW, FD, TDS, from_edges, kclids, peel_local, peel_spark
+from repro.core import spark_engine
 from repro.core.schedules import (
     bucket, bucket_gpo, bucket_lpo, dupin, gpo, lpo, sequential,
 )
@@ -44,11 +46,18 @@ def _heavy_tailed(seed=0, n=400, m=2000):
     )
 
 
-def _log(r):
-    """The engine-independent fields of each WorkLog record (Spark does
-    not count weight updates)."""
-    return [(x.scanned, x.peeled, x.phase, x.sequential, x.bucket, x.tail)
-            for x in r.worklog.rounds]
+def _assert_same_records(ra, rb):
+    """Every WorkLog record field equal, ``g`` (and ``g0``) to a relative
+    1e-9: the engines sum floats in different orders. A ``g`` that should
+    be 0 is rounding noise of f's running sum, so the bound is relative to
+    the run's largest ``g`` too."""
+    gs = [ra.worklog.g0] + [x.g for x in ra.worklog.rounds]
+    close = {"rel": 1e-9, "abs": 1e-9 * max(map(abs, gs))}
+    assert rb.worklog.g0 == pytest.approx(ra.worklog.g0, **close)
+    assert len(ra.worklog.rounds) == len(rb.worklog.rounds)
+    for x, y in zip(ra.worklog.rounds, rb.worklog.rounds):
+        assert dataclasses.replace(y, g=x.g) == x
+        assert y.g == pytest.approx(x.g, **close)
 
 
 def _assert_same(rl, rs):
@@ -58,7 +67,15 @@ def _assert_same(rl, rs):
     assert len(rl.round_sets) == len(rs.round_sets)
     for a, b in zip(rl.round_sets, rs.round_sets):
         assert np.array_equal(np.sort(a), b)
-    assert _log(rl) == _log(rs)
+    _assert_same_records(rl, rs)
+
+
+def _never(rows, rows0):
+    return False
+
+
+def _always(rows, rows0):
+    return True
 
 
 @pytest.mark.parametrize("metric", [DW, DG, FD], ids=lambda m: m.name)
@@ -69,10 +86,13 @@ def test_spark_matches_local_dupin(spark, metric):
     _assert_same(rl, rs)
 
 
-@pytest.mark.parametrize("sched_name,sched", [
+_SCHEDULES = [
     ("gpo", gpo(0.1)), ("lpo", lpo(0.1)), ("bucket", bucket()),
     ("bucket_gpo", bucket_gpo(0.1)), ("bucket_lpo", bucket_lpo(0.1)),
-])
+]
+
+
+@pytest.mark.parametrize("sched_name,sched", _SCHEDULES)
 def test_spark_matches_local_schedules(spark, sched_name, sched):
     if sched.mode == "bucket" and sched.gpo:
         g = _core_with_leaves()
@@ -100,6 +120,23 @@ def test_spark_matches_local_kclids4(spark):
     _assert_same(rl, rs)
 
 
+# With the default handoff rule the small graphs above finish on the
+# driver after a step or two; these rerun them with every step on Spark,
+# so _delta's later-step edge and clique paths keep their coverage.
+
+@pytest.mark.parametrize("sched_name,sched", _SCHEDULES)
+def test_spark_matches_local_schedules_all_on_spark(spark, monkeypatch,
+                                                    sched_name, sched):
+    monkeypatch.setattr(spark_engine, "_hand_off", _never)
+    test_spark_matches_local_schedules(spark, sched_name, sched)
+
+
+def test_spark_matches_local_cliques_all_on_spark(spark, monkeypatch):
+    monkeypatch.setattr(spark_engine, "_hand_off", _never)
+    test_spark_matches_local_tds(spark)
+    test_spark_matches_local_kclids4(spark)
+
+
 def test_spark_matches_local_gfg(spark):
     """The detection benchmark's input: gfg x1, DW, DupinLPO."""
     g = load_dataset("gfg", 1.0)
@@ -107,6 +144,19 @@ def test_spark_matches_local_gfg(spark):
     rs = peel_spark(spark, g, DW, lpo(0.1))
     _assert_same(rl, rs)
     assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
+    assert (rl.worklog.handoff, rs.worklog.handoff) == (0, 1)
+
+
+def test_spark_matches_local_soc_tds(spark):
+    """The soc-tds benchmark's input: soc x0.25, TDS, DupinGPO. The
+    messages are triangle roles: 60% are alive after step 1 and 23% after
+    step 2, so the driver finishes from step 3."""
+    g = load_dataset("soc", 0.25)
+    rl = peel_local(g, TDS, gpo(0.1))
+    rs = peel_spark(spark, g, TDS, gpo(0.1))
+    _assert_same(rl, rs)
+    assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
+    assert rs.worklog.handoff == 2
 
 
 @pytest.mark.parametrize("sched", [lpo(0.1), gpo(0.1)], ids=lambda s: s.name)
@@ -128,19 +178,22 @@ _EXAMPLE21 = from_edges(6, [0, 1, 2, 2, 2, 3, 3], [1, 2, 3, 4, 5, 4, 5],
                         [1.0, 2.0, 1.0, 2.5, 2.5, 2.5, 2.5])
 
 
-@pytest.mark.parametrize("metric", [DW, FD, TDS], ids=lambda m: m.name)
-@pytest.mark.parametrize("g,sched", [
-    (_edgeless(0), lpo(0.1)),
-    (_edgeless(5), lpo(0.1)),
+_DEGENERATE = [
+    pytest.param(_edgeless(0), lpo(0.1), id="empty"),
+    pytest.param(_edgeless(5), lpo(0.1), id="edgeless"),
     # all-equal weights: every w of the 12-cycle sits exactly at τ = 2;
     # on the unit-weight cycle and K5, DW is DG
-    (_CYCLE12, dupin(0.0)),
-    (_K5, lpo(0.0)),
-    (_EXAMPLE21, bucket_lpo(0.0)),
+    pytest.param(_CYCLE12, dupin(0.0), id="cycle12-dupin"),
+    pytest.param(_K5, lpo(0.0), id="k5-lpo"),
+    pytest.param(_EXAMPLE21, bucket_lpo(0.0), id="ex21-bucket_lpo"),
     # under DW vertex 1 falls by 1e-12 < TOL in step 1: it must peel once
-    (from_edges(4, [0, 1, 2], [1, 2, 3], [1e-12, 5.0, 5.0]), bucket()),
-], ids=["empty", "edgeless", "cycle12-dupin", "k5-lpo", "ex21-bucket_lpo",
-        "tiny_edge-bucket"])
+    pytest.param(from_edges(4, [0, 1, 2], [1, 2, 3], [1e-12, 5.0, 5.0]),
+                 bucket(), id="tiny_edge-bucket"),
+]
+
+
+@pytest.mark.parametrize("metric", [DW, FD, TDS], ids=lambda m: m.name)
+@pytest.mark.parametrize("g,sched", _DEGENERATE)
 def test_spark_matches_local_degenerate(spark, g, sched, metric):
     rl = peel_local(g, metric, sched)
     rs = peel_spark(spark, g, metric, sched)
@@ -150,6 +203,57 @@ def test_spark_matches_local_degenerate(spark, g, sched, metric):
         rl.long_tail_peeled, rl.sparse_trimmed)
     if g.n == 0:
         assert rs.best_set.size == 0 and rs.best_density == 0.0
+
+
+# ---- the handoff to the local engine -------------------------------------
+
+@pytest.mark.parametrize("metric", [DW, TDS], ids=lambda m: m.name)
+@pytest.mark.parametrize("g,sched", [
+    # threshold steps with LPO trims; bucket steps with a GPO long tail
+    pytest.param(_graph(1), lpo(0.1), id="g1-lpo"),
+    pytest.param(_core_with_leaves(), bucket_gpo(0.1), id="leaves-bucket_gpo"),
+    *_DEGENERATE,
+])
+def test_handoff_rule_does_not_change_the_run(spark, monkeypatch, g, sched,
+                                              metric):
+    """Handing off never, or right at set-up, gives the default run's
+    stamps, best set and WorkLog records."""
+    want = peel_spark(spark, g, metric, sched)
+    for rule, handoff in ((_never, None), (_always, 0 if g.n else None)):
+        monkeypatch.setattr(spark_engine, "_hand_off", rule)
+        got = peel_spark(spark, g, metric, sched)
+        assert np.array_equal(got.peel_stamp, want.peel_stamp)
+        assert np.array_equal(got.best_set, want.best_set)
+        assert got.best_density == pytest.approx(want.best_density, rel=1e-9)
+        _assert_same_records(want, got)
+        assert got.worklog.handoff == handoff
+
+
+def _persisted(spark):
+    return set(spark.sparkContext._jsc.getPersistentRDDs().keySet())
+
+
+@pytest.mark.parametrize("case", ["handoff", "all-on-spark", "raises"])
+def test_peel_spark_leaves_nothing_cached(spark, monkeypatch, case):
+    """The message table and every checkpointed state table are freed,
+    whether the run hands off, stays on Spark, or fails mid-run."""
+    g = _graph(1)
+    before = _persisted(spark)
+    if case == "all-on-spark":
+        monkeypatch.setattr(spark_engine, "_hand_off", _never)
+    if case == "raises":
+        def failing_peel(state, schedule, k, log):
+            state.remove(1, le=state.g)
+            raise RuntimeError("failed mid-run")
+
+        monkeypatch.setattr(spark_engine, "_hand_off", _never)
+        monkeypatch.setattr(spark_engine, "peel", failing_peel)
+        with pytest.raises(RuntimeError, match="mid-run"):
+            peel_spark(spark, g, DW, lpo(0.1))
+    else:
+        res = peel_spark(spark, g, DW, lpo(0.1))
+        assert (res.worklog.handoff is None) == (case == "all-on-spark")
+    assert _persisted(spark) <= before
 
 
 # ---- Spark job budget ---------------------------------------------------
