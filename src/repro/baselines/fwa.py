@@ -30,6 +30,10 @@ def fwa_run(graph: LocalGraph, metric: Metric, n_iters: int | None = None) -> Pe
     ew = metric.build(graph)
     assert isinstance(ew, EdgeWeights)
     n, m = graph.n, graph.m
+    if n == 0:  # nothing to rank: the empty set, density 0
+        empty = np.zeros(0, dtype=np.int64)
+        return PeelResult(best_set=empty, best_density=0.0,
+                          worklog=WorkLog(n=0, m=0), peel_stamp=empty)
     src, dst, c, a = graph.src, graph.dst, ew.c, ew.a
     alpha = np.full(m, 0.5)  # fraction of each edge's weight routed to src
 

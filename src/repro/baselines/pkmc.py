@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import make_state
+from repro.core.local_engine import _Scan, make_state
 from repro.core.metrics import Metric
 from repro.core.schedules import TOL, PeelResult
 from repro.core.worklog import WorkLog
@@ -23,42 +23,32 @@ N_LEVELS = 32
 
 def pkmc_run(graph: LocalGraph, metric: Metric, n_levels: int = N_LEVELS) -> PeelResult:
     """λ-grid core sweep; returns the densest core-boundary snapshot."""
-    n = graph.n
     state = make_state(graph, metric)
-    log = WorkLog(n=n, m=graph.m)
+    sel = _Scan(state, np.zeros(graph.n, dtype=np.int64))
+    log = WorkLog(n=graph.n, m=graph.m)
     if metric.kind == "clique":
         log.init_work = float(state.cliques.size)
-    stamp = np.zeros(n, dtype=np.int64)
-    alive_count = n
     step = 0
-    log.g0 = best_g = state.f / n
+    log.g0 = best_g = sel.g
     best_step = 0
     # λ grid over the initial weight distribution (quantiles, ascending)
-    grid = np.unique(
-        np.quantile(state.w, np.linspace(0.0, 1.0, n_levels + 1)[1:])
-    )
+    levels = np.linspace(0.0, 1.0, n_levels + 1)[1:]
+    grid = np.unique(np.quantile(state.w, levels)) if graph.n else []
     for lam in grid:
-        while alive_count > 0:
-            alive = stamp == 0
-            batch_mask = alive & (state.w <= lam + TOL)
-            n_batch = int(batch_mask.sum())
+        while sel.n:
+            n_batch, _, updates = sel.remove(step + 1, le=lam + TOL)
             if n_batch == 0:
                 break
-            batch = np.flatnonzero(batch_mask)
             step += 1
-            stamp[batch] = step
-            updates, _ = state.remove(batch, stamp, step)
-            alive_count -= n_batch
             # PKMC recomputes the core structure each strip round: charge
             # a full edge pass on top of the vertex scan.
-            log.add(alive_count + n_batch + graph.m, updates, n_batch,
-                    g=state.f / alive_count if alive_count else 0.0)
-        if alive_count == 0:
+            log.add(sel.n + n_batch + graph.m, updates, n_batch, g=sel.g)
+        if sel.n == 0:
             break
         # snapshot only at the stabilized core boundary (the coarse step)
-        g_here = state.f / alive_count
-        if g_here > best_g + TOL:
-            best_g, best_step = g_here, step
+        if sel.g > best_g + TOL:
+            best_g, best_step = sel.g, step
+    stamp = sel.stamps()
     best_set = np.flatnonzero((stamp > best_step) | (stamp == 0))
     return PeelResult(
         best_set=best_set, best_density=best_g, worklog=log, peel_stamp=stamp

@@ -76,6 +76,8 @@ def spade_run(
 
     rng = np.random.default_rng(seed)
     m = graph.m
+    if m == 0:  # no edge can arrive, so no batch re-peels anything
+        return SpadeResult(result=res, batch_work=[])
     n_batches = max(1, min(n_batches, m // max(batch_size, 1) or 1))
     batch_edges = rng.integers(0, m, size=(n_batches, max(1, batch_size)))
     batch_work: list[float] = []

@@ -52,8 +52,15 @@ class LocalGraph:
         ``eid`` maps each half-edge back to its undirected edge index.
         """
         if self._indptr is None:
-            csr = half_edge_csr(self.n, self.src, self.dst)
-            self._indptr, self._nbr, self._eid = csr
+            heads = np.concatenate([self.src, self.dst])
+            tails = np.concatenate([self.dst, self.src])
+            eids = np.concatenate([np.arange(self.m), np.arange(self.m)])
+            order = np.argsort(heads, kind="stable")
+            heads, tails, eids = heads[order], tails[order], eids[order]
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.add.at(indptr, heads + 1, 1)
+            np.cumsum(indptr, out=indptr)
+            self._indptr, self._nbr, self._eid = indptr, tails.astype(np.int64), eids
         return self._indptr, self._nbr, self._eid
 
     def degrees(self) -> np.ndarray:
@@ -80,20 +87,6 @@ class LocalGraph:
         from repro.core.spark_engine import ingest
 
         return ingest(spark, self.vertex_weight, self.src, self.dst, self.edge_weight)
-
-
-def half_edge_csr(n: int, src: np.ndarray, dst: np.ndarray):
-    """Half-edge CSR ``(indptr, nbr, eid)`` of the ``n``-vertex graph with
-    undirected edges ``(src[i], dst[i])``; see :meth:`LocalGraph.csr`."""
-    heads = np.concatenate([src, dst])
-    tails = np.concatenate([dst, src])
-    eids = np.concatenate([np.arange(src.size), np.arange(src.size)])
-    order = np.argsort(heads, kind="stable")
-    heads, tails, eids = heads[order], tails[order], eids[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, heads + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, tails.astype(np.int64), eids
 
 
 def from_edges(

@@ -11,8 +11,9 @@ supplies its state. ``EdgeState`` (DG/DW/FD) and ``CliqueState``
 (TDS/kCLiDS), built from arrays, keep the weights ``w`` and ``f`` under
 removal; their ``remove`` walks a batch's neighbours once and returns
 the number of weight updates with the alive vertices they touched. A
-selection wrapper (:func:`selector`) adds the driver's members ``n``,
-``g``, ``lo()``, ``hi()``, ``remove()`` and ``stamps()``: threshold
+selection wrapper (:func:`selector`), started from a stamp array (zeros
+for a fresh run), adds the driver's members ``n``, ``g``, ``lo()``,
+``hi()``, ``remove()`` and ``stamps()``: threshold
 schedules select with one vectorised mask over the alive vertices
 (``_Scan``), bucket and sequential schedules with a lazy min-heap
 (``_Heap``), so a bucket round costs its bucket, not a full scan. The
@@ -48,11 +49,10 @@ class EdgeState:
     """Peeling state for DG/DW/FD: w_u = a_u + Σ incident alive c. Built
     from arrays: ``a`` and ``w`` per vertex, ``c`` per edge, the half-edge
     ``csr`` ``(indptr, nbr, eid)`` and ``f``. A removal counts its CSR
-    half-edges as weight updates; a tail of a larger graph passes ``deg``,
-    the vertices' degrees in that graph, to count those instead."""
+    half-edges as weight updates."""
 
-    def __init__(self, a, w, f: float, c, csr, deg=None):
-        self.a, self.w, self.f, self.c, self.deg = a, w, f, c, deg
+    def __init__(self, a, w, f: float, c, csr):
+        self.a, self.w, self.f, self.c = a, w, f, c
         self.indptr, self.nbr, self.eid = csr
 
     def remove(self, batch: np.ndarray, stamp: np.ndarray, step: int):
@@ -60,9 +60,8 @@ class EdgeState:
         number of weight updates and the alive neighbours they touched."""
         idx = _slots(self.indptr, batch)
         self.f -= float(self.a[batch].sum())
-        updates = idx.size if self.deg is None else int(self.deg[batch].sum())
         if not idx.size:
-            return updates, idx
+            return 0, idx
         nbrs = self.nbr[idx]
         cw = self.c[self.eid[idx]]
         alive = stamp[nbrs] == 0
@@ -70,7 +69,7 @@ class EdgeState:
         np.subtract.at(self.w, nbrs[alive], cw[alive])
         # f loses: vertex priors + every edge leaving the subgraph once.
         self.f -= float(cw[alive].sum()) + 0.5 * float(cw[same].sum())
-        return updates, nbrs[alive]
+        return idx.size, nbrs[alive]
 
 
 class CliqueState:
@@ -115,12 +114,12 @@ def make_state(graph: LocalGraph, metric: Metric):
 
 
 class _Scan:
-    """Threshold selection: each step masks every alive vertex at once."""
+    """Threshold selection: each step masks every alive vertex at once.
+    ``stamp`` holds the step that removed each vertex, 0 while alive."""
 
-    def __init__(self, state, n: int):
-        self.state = state
-        self.stamp = np.zeros(n, dtype=np.int64)
-        self.n = n
+    def __init__(self, state, stamp: np.ndarray):
+        self.state, self.stamp = state, stamp
+        self.n = int((stamp == 0).sum())
 
     @property
     def g(self) -> float:
@@ -191,8 +190,8 @@ class _Heap(_Scan):
     order.
     """
 
-    def __init__(self, state, n: int):
-        super().__init__(state, n)
+    def __init__(self, state, stamp: np.ndarray):
+        super().__init__(state, stamp)
         self.heap: list[tuple[float, int]] = []
         self.theta = -math.inf
 
@@ -271,4 +270,5 @@ def peel_local(graph: LocalGraph, metric: Metric, schedule: Schedule) -> PeelRes
     if metric.kind == "clique":
         # enumeration cost ~ k·|E|·α(G)^(k-2); charge the materialized size
         log.init_work = float(state.cliques.size)
-    return peel(selector(schedule)(state, graph.n), schedule, metric.k, log)
+    sel = selector(schedule)(state, np.zeros(graph.n, dtype=np.int64))
+    return peel(sel, schedule, metric.k, log)

@@ -42,13 +42,14 @@ the run shrinks the graph on Spark until it fits the driver, then
 finishes there: once the alive message rows fall to a quarter of the
 set-up rows and to at most :data:`HANDOFF_ROWS` (:func:`_hand_off`, a
 fixed rule, never met at set-up by a graph with messages), the state
-collects the state table and the alive messages as Arrow columns,
-remaps the alive vids to ``0..n'-1``, and continues the *same*
+collects ``(vid, w, stamp)`` as Arrow columns and continues the *same*
 :func:`~repro.core.schedules.peel` run on a local ``_Scan`` or ``_Heap``
-seeded with Spark's ``w`` and ``f``. Steps carry on, the stamps merge,
-and ``WorkLog.handoff`` records the last Spark step (``None`` if the run
-ended on Spark). ``stamps()`` collects the stamps once, at the end or at
-the handoff.
+started from those stamps and seeded with Spark's ``w`` and ``f``, in
+the graph's own vids. An edge tail peels the driver's ``LocalGraph``
+CSR; a clique tail collects the live cliques through a broadcast of the
+live vertices. Steps carry on, and ``WorkLog.handoff`` records the last
+Spark step (``None`` if the run ended on Spark). ``stamps()`` collects
+the stamps once, at the end or at the handoff.
 
 The engine accepts the same :class:`~repro.core.schedules.Schedule`
 objects as the local engine for the parallel modes (``threshold`` and
@@ -68,7 +69,7 @@ import numpy as np
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.graph import LocalGraph, half_edge_csr
+from repro.core.graph import LocalGraph
 from repro.core.local_engine import CliqueState, EdgeState, selector
 from repro.core.metrics import Metric
 from repro.core.schedules import PeelResult, Schedule, peel
@@ -227,13 +228,13 @@ def _arrays(df: DataFrame) -> list[np.ndarray]:
     return [col.to_numpy() for col in df.toArrow().columns]
 
 
-# The most alive message rows a run finishes on the driver. The handoff
-# collects them as NumPy columns (the two halves of an edge as one 24 B
-# row; a clique's k roles as one row of k ids, 8 B a role) and builds the
-# local CSR from them: with the sort's temporaries, ~80 B a row at the
-# peak, so 4M rows need ~0.35 GB of driver memory, plus ~64 MB in the JVM
-# to broadcast their live ends (a vertex with a live row has one of its
-# own, so there are at most 4M of them).
+# The most alive message rows a run finishes on the driver. An edge tail
+# peels the driver's own LocalGraph, so this bounds the clique collect
+# only: a live clique's k roles come back as one row of k ids (8 B a
+# role), and the tail's membership CSR sorts them: with the sort's
+# temporaries, ~50 B a role at the peak, so 4M roles need ~0.2 GB of
+# driver memory, plus ~64 MB in the JVM to broadcast the live vertices
+# (each has a live role of its own, so there are at most 4M of them).
 HANDOFF_ROWS = 1 << 22
 
 
@@ -251,11 +252,10 @@ class _SparkState:
     member but :meth:`remove` and :meth:`stamps` reads the scalars
     observed on the last checkpoint, so it runs no Spark job.
 
-    Once :func:`_hand_off` holds after a checkpoint, the state collects
-    the alive graph and hands the rest of the run to a local ``_Scan`` or
-    ``_Heap`` over it (:meth:`_finish_locally`); every member then
-    delegates to that ``local`` state, with vids mapped through ``ids``, the
-    sorted alive vids at the handoff, whose positions are the local ids.
+    Once :func:`_hand_off` holds after a checkpoint, the state hands the
+    rest of the run to a local ``_Scan`` or ``_Heap`` started from the
+    collected stamps (:meth:`_finish_locally`); every member then
+    delegates to that ``local`` state, in the graph's own vids.
     """
 
     def __init__(self, spark: SparkSession, graph: LocalGraph, metric: Metric,
@@ -263,11 +263,11 @@ class _SparkState:
         self.k, self.kind, self.graph = metric.k, metric.kind, graph
         self.select = selector(schedule)
         self.state = self.local = self.handoff = None
-        a, c = graph.vertex_weight, graph.edge_weight
+        self.a, self.c = graph.vertex_weight, graph.edge_weight
         if metric.kind == "edge":
             ew = metric.build(graph)
-            a, c = ew.a, ew.c
-        verts, edges = ingest(spark, a, graph.src, graph.dst, c)
+            self.a, self.c = ew.a, ew.c
+        verts, edges = ingest(spark, self.a, graph.src, graph.dst, self.c)
         # AQE cannot coalesce a cached side, so size it to the platform
         parts = spark.sparkContext.defaultParallelism
         self.msgs = _messages(
@@ -299,10 +299,7 @@ class _SparkState:
         return self._f() / self.st["n"] if self.st["n"] else 0.0
 
     def lo(self) -> tuple[float, int]:
-        if self.local:
-            w, v = self.local.lo()
-            return w, int(self.ids[v])
-        return self.st["lo"]  # a Row (w, vid)
+        return self.local.lo() if self.local else self.st["lo"]  # Row (w, vid)
 
     def hi(self) -> float:
         return self.local.hi() if self.local else self.st["hi"]
@@ -312,8 +309,6 @@ class _SparkState:
         subtract their contribution, checkpoint, observe; the weight
         updates are the delta rows, as the local engine counts them."""
         if self.local:
-            if vid is not None:
-                vid = int(np.searchsorted(self.ids, vid))
             return self.local.remove(step, le=le, lt=lt, vid=vid, tail=tail)
         if vid is not None:
             cond = F.col("vid") == vid
@@ -362,50 +357,42 @@ class _SparkState:
     def _finish_locally(self, step: int) -> None:
         """Hand the run to the local engine if :func:`_hand_off` holds.
 
-        Collects the state table and the alive messages as NumPy columns
-        (three jobs: the state, the broadcast of the live vertices, the
-        messages), remaps the alive vids to ``0..n'-1``, and seeds the
-        local state with Spark's ``w`` and ``f``, so the tail continues
-        this run's own numbers. Steps carry on; :meth:`stamps` merges the
-        stamps. The Spark tables are freed.
+        Collects ``(vid, w, stamp)`` into arrays over the graph's own vids
+        with one job and seeds the local state with Spark's ``w`` and
+        ``f``, so the tail continues this run's own numbers, in this run's
+        stamp array; steps carry on. An edge tail peels the driver's
+        ``LocalGraph`` CSR with the ``a`` and ``c`` built at set-up; a
+        clique tail collects the live cliques (two more jobs: the
+        broadcast of the live vertices, the cliques). The Spark tables
+        are freed.
         """
         if not self.st["n"] or not _hand_off(self.st["rows"], self.rows0):
             return
-        vid, a, w, stamp = _arrays(self.state.select("vid", "a", "w", "stamp"))
-        self.stamp = np.zeros(self.graph.n, dtype=np.int64)
-        self.stamp[vid] = stamp
-        alive = stamp == 0
-        order = np.argsort(vid[alive])
-        self.ids, a, w = vid[alive][order], a[alive][order], w[alive][order]
-        # a live message's ends are alive vertices with live messages:
-        # at most ``rows`` of them, so they are broadcast
-        live = F.broadcast(
-            self.state.filter((F.col("stamp") == 0) & (F.col("deg") > 0)).select("vid")
-        )
-        if self.kind == "edge":  # each edge once, as its src < dst half
-            ends = ["src", "dst"]
-            rows = self.msgs.filter(F.col("vid") < F.col("dst"))
-            rows = rows.withColumnRenamed("vid", "src")
-        else:  # each clique once, as its v0 role
-            ends = [f"v{j}" for j in range(self.k)]
-            rows = self.msgs.filter(F.col("vid") == F.col("v0"))
-        for end in ends:  # one broadcast, reused by every end
-            rows = rows.join(live.withColumnRenamed("vid", end), end, "left_semi")
+        vid, wv, stp = _arrays(self.state.select("vid", "w", "stamp"))
+        w = np.zeros(self.graph.n)
+        stamp = np.zeros(self.graph.n, dtype=np.int64)
+        w[vid], stamp[vid] = wv, stp
         if self.kind == "edge":
-            src, dst, c = _arrays(rows.select(*ends, "c"))
-            src, dst = np.searchsorted(self.ids, src), np.searchsorted(self.ids, dst)
-            csr = half_edge_csr(self.ids.size, src, dst)
-            tail = EdgeState(a, w, self._f(), c, csr, self.graph.degrees()[self.ids])
+            tail = EdgeState(self.a, w, self._f(), self.c, self.graph.csr())
         else:
+            # a live clique's members are alive vertices with live roles:
+            # at most ``rows`` of them, so they are broadcast
+            live = F.broadcast(
+                self.state.filter((F.col("stamp") == 0) & (F.col("deg") > 0))
+                .select("vid")
+            )
+            ends = [f"v{j}" for j in range(self.k)]
+            rows = self.msgs.filter(F.col("vid") == F.col("v0"))  # each once
+            for end in ends:  # one broadcast, reused by every member
+                rows = rows.join(live.withColumnRenamed("vid", end), end, "left_semi")
             cliques = np.column_stack(_arrays(rows.select(*ends)))
-            tail = CliqueState(w, self._f(), np.searchsorted(self.ids, cliques), self.k)
-        self.local, self.handoff = self.select(tail, self.ids.size), step
+            tail = CliqueState(w, self._f(), cliques, self.k)
+        self.local, self.handoff = self.select(tail, stamp), step
         self.close()
 
     def stamps(self) -> np.ndarray:
         if self.local:
-            self.stamp[self.ids] = self.local.stamps()
-            return self.stamp
+            return self.local.stamps()
         vid, stp = _arrays(self.state.select("vid", "stamp"))
         stamp = np.zeros(self.graph.n, dtype=np.int64)
         stamp[vid] = stp

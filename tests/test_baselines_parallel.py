@@ -11,6 +11,7 @@ from repro.baselines import (
     kclist_run,
     pbbs_run,
     pkmc_run,
+    spade_run,
 )
 from repro.core import DG, DW, FD, TDS, from_edges, kclids, peel_local, sequential
 from repro.core.brute import density_of, optimal_density
@@ -200,3 +201,24 @@ def test_clique_baselines_k_approximation(seed):
     opt, _ = optimal_density(g, TDS)
     assert kclist_run(g, TDS).best_density >= opt / 3 - 1e-9
     assert pbbs_run(g, TDS).best_density >= opt / 3 - 1e-9
+
+
+# ---- degenerate graphs ----------------------------------------------------
+
+def _spade(g, metric):
+    return spade_run(g, metric).result
+
+
+@pytest.mark.parametrize("run,metric", [
+    (gbbs_run, DW), (pkmc_run, DW), (pkmc_run, TDS), (fwa_run, DG),
+    (alenex_run, FD), (kclist_run, TDS), (pbbs_run, TDS), (_spade, DW),
+], ids=["gbbs-DW", "pkmc-DW", "pkmc-TDS", "fwa-DG", "alenex-FD",
+        "kclist-TDS", "pbbs-TDS", "spade-DW"])
+@pytest.mark.parametrize("n", [0, 5], ids=["empty", "edgeless"])
+def test_baselines_run_on_degenerate_graphs(run, metric, n):
+    """Every baseline runs on the empty and the edgeless graph; the empty
+    graph's best set is empty, at density 0."""
+    g = from_edges(n, [], [], vertex_weight=np.arange(n, dtype=np.float64))
+    res = run(g, metric)
+    if n == 0:
+        assert res.best_density == 0.0 and res.best_set.size == 0

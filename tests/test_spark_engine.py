@@ -284,6 +284,25 @@ def test_spark_job_budget(spark):
     assert jobs <= SETUP_JOBS + STEP_JOBS * steps
 
 
+@pytest.mark.parametrize("metric,handoff_jobs", [(DW, 1), (TDS, 3)],
+                         ids=["DW", "TDS"])
+def test_handoff_jobs(spark, monkeypatch, metric, handoff_jobs):
+    """A run handed off at set-up costs its set-up plus the handoff: one
+    collect of ``(vid, w, stamp)`` for an edge metric, which peels the
+    driver's graph; for a clique metric also the broadcast of the live
+    vertices and the collect of the live cliques."""
+    g = _graph(3, n=26, m=90)
+    monkeypatch.setattr(spark_engine, "_hand_off", _never)
+    state, setup = _count_jobs(
+        spark, lambda: spark_engine._SparkState(spark, g, metric, dupin(0.1))
+    )
+    state.close()
+    monkeypatch.setattr(spark_engine, "_hand_off", _always)
+    res, jobs = _count_jobs(spark, lambda: peel_spark(spark, g, metric, dupin(0.1)))
+    assert res.worklog.handoff == 0
+    assert jobs - setup == handoff_jobs
+
+
 def test_spark_refused_trim_runs_no_job(spark):
     """K6 plus a disjoint triangle: the triangle peels, then LPO's trim of
     the K6 is refused (it would trim nothing) and must cost no job."""
