@@ -101,13 +101,27 @@ def from_edges(
 
     Self-loops are dropped; ``(u, v)`` and ``(v, u)`` duplicates are merged
     by *summing* their weights (parallel transactions accumulate, matching
-    the transaction-network semantics in the paper's use case).
+    the transaction-network semantics in the paper's use case). Raises
+    ``ValueError`` for an id outside ``[0, n)``, for ``src``, ``dst`` and
+    ``edge_weight`` of unequal length, and for a ``vertex_weight`` that is
+    not of length ``n``.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     if edge_weight is None:
         edge_weight = np.ones(src.size, dtype=np.float64)
     edge_weight = np.asarray(edge_weight, dtype=np.float64)
+    if not src.size == dst.size == edge_weight.size:
+        raise ValueError(
+            "src, dst and edge_weight differ in length: "
+            f"{src.size}, {dst.size}, {edge_weight.size}"
+        )
+    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        raise ValueError(f"vertex ids must lie in [0, {n})")
+    if vertex_weight is not None and np.size(vertex_weight) != n:
+        raise ValueError(
+            f"vertex_weight has {np.size(vertex_weight)} entries, not n = {n}"
+        )
     keep = src != dst
     src, dst, edge_weight = src[keep], dst[keep], edge_weight[keep]
     lo = np.minimum(src, dst)

@@ -21,6 +21,13 @@ heap is frontier-bounded: it holds entries only for the alive vertices
 at or under a weight θ, and raises θ past the next K alive weights with
 one vectorised partition when it runs dry, so a step pushes only the
 touched vertices under θ.
+
+A sequential step removes one vertex, and so does nearly every bucket
+step on a weighted graph; such a step is kept to one slice of that
+vertex's CSR row: ``_slots`` returns a one-vertex batch's row as one
+``arange``, ``EdgeState`` reads the row's edge weights from a half-edge
+copy in CSR order, and the heap pushes the touched vertices as they
+come, leaving a repeated vertex's second entry to be discarded as stale.
 """
 from __future__ import annotations
 
@@ -37,7 +44,16 @@ from repro.core.worklog import WorkLog
 
 def _slots(ptr: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """The CSR slots ``ptr[v]:ptr[v+1]`` of every ``v`` in ``batch``, in
-    batch order."""
+    batch order.
+
+    A one-vertex batch, the usual step of bucket and sequential peeling
+    (weighted buckets are near-singletons), is one ``arange`` over its
+    row: the vectorised cumsum/repeat/arange sequence below costs a dozen
+    NumPy calls, which on a ~36-slot row is most of the step. Threshold
+    batches of thousands of vertices take the vectorised path."""
+    if batch.size == 1:
+        v = batch[0]
+        return np.arange(ptr[v], ptr[v + 1])
     starts = ptr[batch]
     lens = ptr[batch + 1] - starts
     ends = np.cumsum(lens)  # where each vertex's run ends in the output
@@ -48,12 +64,15 @@ def _slots(ptr: np.ndarray, batch: np.ndarray) -> np.ndarray:
 class EdgeState:
     """Peeling state for DG/DW/FD: w_u = a_u + Σ incident alive c. Built
     from arrays: ``a`` and ``w`` per vertex, ``c`` per edge, the half-edge
-    ``csr`` ``(indptr, nbr, eid)`` and ``f``. A removal counts its CSR
-    half-edges as weight updates."""
+    ``csr`` ``(indptr, nbr, eid)`` and ``f``. The edge weights are kept
+    per half-edge in CSR order (``hc = c[eid]``, 2m floats built once), so
+    a removal reads a batch's weights with the same slots as its
+    neighbours. A removal counts its CSR half-edges as weight updates."""
 
     def __init__(self, a, w, f: float, c, csr):
-        self.a, self.w, self.f, self.c = a, w, f, c
-        self.indptr, self.nbr, self.eid = csr
+        self.a, self.w, self.f = a, w, f
+        self.indptr, self.nbr, eid = csr
+        self.hc = c[eid]
 
     def remove(self, batch: np.ndarray, stamp: np.ndarray, step: int):
         """Remove ``batch`` (already stamped with ``step``); returns the
@@ -63,13 +82,14 @@ class EdgeState:
         if not idx.size:
             return 0, idx
         nbrs = self.nbr[idx]
-        cw = self.c[self.eid[idx]]
-        alive = stamp[nbrs] == 0
-        same = stamp[nbrs] == step
-        np.subtract.at(self.w, nbrs[alive], cw[alive])
+        cw = self.hc[idx]
+        st = stamp[nbrs]
+        alive = st == 0
+        touched, ca = nbrs[alive], cw[alive]
+        np.subtract.at(self.w, touched, ca)
         # f loses: vertex priors + every edge leaving the subgraph once.
-        self.f -= float(cw[alive].sum()) + 0.5 * float(cw[same].sum())
-        return idx.size, nbrs[alive]
+        self.f -= float(ca.sum()) + 0.5 * float(cw[st == step].sum())
+        return idx.size, touched
 
 
 class CliqueState:
@@ -182,8 +202,11 @@ class _Heap(_Scan):
 
     An entry is stale once its vertex is gone or its weight moved by more
     than TOL; a popped vertex is stamped at once, so its other entries
-    read as stale. Removal never raises a weight (``c >= 0``, and clique
-    counts only fall), so a vertex's newest entry is its smallest and
+    read as stale. Duplicate entries are therefore expected: a vertex
+    touched twice in one step (two removed neighbours, or two dying
+    cliques) is pushed twice, and the entry that is not popped is
+    discarded by ``_top``. Removal never raises a weight (``c >= 0``, and
+    clique counts only fall), so a vertex's newest entry is its smallest and
     equals its current weight, and the first valid entry is exactly the
     argmin ``(w, vid)`` over the alive vertices: the frontier changes
     which entries exist, never which vertex a step takes, or in what
@@ -248,8 +271,9 @@ class _Heap(_Scan):
         return self._drop(np.asarray(batch, dtype=np.int64), step, n_tail)
 
     def _requeue(self, touched: np.ndarray) -> None:
-        """Push a fresh entry for each touched vertex now under θ."""
-        touched = np.unique(touched)
+        """Push a fresh entry for each touched vertex now under θ. A vertex
+        touched twice in one step gets two equal entries; the first pop
+        stamps it, so ``_top`` discards the other as stale."""
         self._push(touched[self.state.w[touched] <= self.theta])
 
 

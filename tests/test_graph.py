@@ -114,3 +114,23 @@ def test_from_edges_is_deterministic():
     g2 = from_edges(9, s, d, w)
     assert np.array_equal(g1.src, g2.src)
     assert np.allclose(g1.edge_weight, g2.edge_weight)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, match",
+    [
+        ((3, [-1], [1]), {}, r"\[0, 3\)"),
+        ((3, [0], [5]), {}, r"\[0, 3\)"),
+        ((3, [0, 1], [1]), {}, "length"),
+        ((3, [0], [1], [1.0, 2.0]), {}, "length"),
+        ((3, [0], [1]), {"vertex_weight": [0.0, 0.0]}, "vertex_weight"),
+    ],
+    ids=["negative-id", "id-past-n", "src-dst-length", "edge-weight-length",
+         "vertex-weight-length"],
+)
+def test_from_edges_rejects_malformed_input(args, kwargs, match):
+    """A malformed edge list is refused at set-up with the problem named,
+    not peeled into a graph with a vertex −1 or failed on deep inside the
+    engine."""
+    with pytest.raises(ValueError, match=match):
+        from_edges(*args, **kwargs)
