@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import sys
 
-import pandas as pd
+import numpy as np
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import by_name, peel_spark
@@ -26,17 +27,17 @@ def run(
     graph = load_dataset(dataset, scale)
     metric = by_name(metric_name)
     res = peel_spark(spark, graph, metric, lpo(eps))
-    comm = graph.labels.get("fraud_community")
-    out = pd.DataFrame(
+    comm = graph.labels.get("fraud_community", np.full(graph.n, -1))
+    best = res.best_set
+    out = pa.table(
         {
-            "vid": res.best_set,
-            "fraud_community": (
-                comm[res.best_set] if comm is not None else -1
-            ),
+            "vid": best,
+            "fraud_community": comm[best],
+            "density": np.full(best.size, res.best_density),
         }
     )
-    out["density"] = res.best_density
-    return spark.createDataFrame(out)
+    # an Arrow table, so no Python worker reads the rows back
+    return spark.createDataFrame(out, "vid long, fraud_community long, density double")
 
 
 if __name__ == "__main__":

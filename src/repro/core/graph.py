@@ -82,8 +82,9 @@ class LocalGraph:
 
     def to_spark(self, spark):
         """``(vertices, edges)`` Spark DataFrames for a ``SparkSession``,
-        built by the engine's own ingest; imported here so the local path
-        needs no ``pyspark``."""
+        built by the engine's own ingest from Arrow tables, so no Python
+        worker reads them; imported here so the local path needs no
+        ``pyspark``."""
         from repro.core.spark_engine import ingest
 
         return ingest(spark, self.vertex_weight, self.src, self.dst, self.edge_weight)

@@ -10,7 +10,14 @@ as state and only the peeled batch's contribution is subtracted.
 
 - **Ingest**: :func:`ingest`, the one path from arrays to the
   ``(vid, a)`` and ``(src, dst, c)`` frames (``LocalGraph.to_spark``
-  uses it too).
+  uses it too). The arrays go to Spark as Arrow tables of array-valued
+  rows that Spark explodes in its tasks (:func:`_frame`), so no Python
+  worker starts and the driver handles a few array rows, not one row
+  per element. The engine wraps
+  both frames in a lazy ``localCheckpoint``, so its plans read an RDD,
+  not the ``LocalRelation`` under the Arrow table, which Catalyst may
+  evaluate on the driver (``ConvertToLocalRelation``). The checkpoint
+  runs no job of its own: the set-up job stores the exploded rows.
 - **Message table**, built once and cached, hash-partitioned by ``vid``,
   the vertex whose removal sends the row: half-edges ``(vid, dst, c)``
   for edge metrics, or clique roles ``(vid, v0..v{k-1})`` from a single
@@ -66,6 +73,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pyarrow as pa
 from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
@@ -76,16 +84,46 @@ from repro.core.schedules import PeelResult, Schedule, peel
 from repro.core.worklog import WorkLog
 
 
+# Elements of each column per row of the Arrow table _frame hands to Spark
+PACK = 4096
+
+
+def _frame(spark: SparkSession, **cols: np.ndarray) -> DataFrame:
+    """A frame of the equal-length ``long`` / ``double`` arrays ``cols``.
+
+    Spark turns an Arrow table under 48 MB into a driver-side
+    ``LocalRelation``: it converts every row on the driver, copies it
+    again to plan a scan, and ships the rows inside the scan's tasks,
+    which on la x1's 693k edges took seconds. So the table holds only a
+    few rows, each a slice of every column as one array (at least one
+    row per task slot, so the frame keeps the platform's partitioning),
+    and Spark's ``inline`` explodes them into one row per element inside
+    the tasks.
+    """
+    n = len(next(iter(cols.values())))
+    rows = max(spark.sparkContext.defaultParallelism, -(-n // PACK))
+    ends = pa.array(np.linspace(0, n, rows + 1).astype(np.int32))
+    table = pa.table(
+        {k: pa.ListArray.from_arrays(ends, pa.array(v)) for k, v in cols.items()}
+    )
+    kind = {"i": "long", "f": "double"}
+    schema = ", ".join(f"{k} array<{kind[v.dtype.kind]}>" for k, v in cols.items())
+    return spark.createDataFrame(table, schema).select(F.inline(F.arrays_zip(*cols)))
+
+
 def ingest(spark: SparkSession, a, src, dst, c) -> tuple[DataFrame, DataFrame]:
     """``(vid, a)`` and ``(src, dst, c)`` frames from per-vertex and per-edge
-    arrays; explicit schemas, so empty and edgeless graphs work."""
-    verts = zip(range(len(a)), np.asarray(a, dtype=np.float64).tolist())
-    edges = zip(src.tolist(), dst.tolist(), np.asarray(c, dtype=np.float64).tolist())
-    # rows built from typed arrays, so Spark need not verify each one
+    arrays, handed to Spark as Arrow (:func:`_frame`): typed columns, so
+    empty and edgeless graphs work, and no Python worker reads them back,
+    whatever the session's Arrow setting."""
+    a = np.asarray(a, dtype=np.float64)
     return (
-        spark.createDataFrame(list(verts), "vid long, a double", verifySchema=False),
-        spark.createDataFrame(
-            list(edges), "src long, dst long, c double", verifySchema=False
+        _frame(spark, vid=np.arange(len(a), dtype=np.int64), a=a),
+        _frame(
+            spark,
+            src=np.asarray(src, dtype=np.int64),
+            dst=np.asarray(dst, dtype=np.int64),
+            c=np.asarray(c, dtype=np.float64),
         ),
     )
 
@@ -267,7 +305,14 @@ class _SparkState:
         if metric.kind == "edge":
             ew = metric.build(graph)
             self.a, self.c = ew.a, ew.c
-        verts, edges = ingest(spark, self.a, graph.src, graph.dst, self.c)
+        # lazy checkpoints: the plans below see RDDs, not the Arrow tables'
+        # LocalRelation, and the set-up job stores the exploded rows; they
+        # run no job of their own
+        self.inputs = [
+            df.localCheckpoint(eager=False)
+            for df in ingest(spark, self.a, graph.src, graph.dst, self.c)
+        ]
+        verts, edges = self.inputs
         # AQE cannot coalesce a cached side, so size it to the platform
         parts = spark.sparkContext.defaultParallelism
         self.msgs = _messages(
@@ -399,8 +444,12 @@ class _SparkState:
         return stamp
 
     def close(self) -> None:
-        """Free the cached message table and the checkpointed state."""
+        """Free the cached message table, the checkpointed inputs and the
+        checkpointed state."""
         self.msgs.unpersist()
+        for df in self.inputs:
+            _free(df)
+        self.inputs = []
         if self.state is not None:
             _free(self.state)
             self.state = None

@@ -30,6 +30,9 @@ def test_dupin_detect_job(spark):
     rows = df.collect()
     assert len(rows) > 0
     assert {"vid", "fraud_community", "density"} <= set(df.columns)
+    assert df.schema.simpleString() == (
+        "struct<vid:bigint,fraud_community:bigint,density:double>"
+    )
     dens = {r["density"] for r in rows}
     assert len(dens) == 1 and dens.pop() > 0
 

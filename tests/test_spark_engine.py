@@ -303,6 +303,44 @@ def test_handoff_jobs(spark, monkeypatch, metric, handoff_jobs):
     assert jobs - setup == handoff_jobs
 
 
+@pytest.fixture
+def arrow_off(spark):
+    """The session with Arrow conversion off, as ``spark-submit`` runs the
+    job by default; restored afterwards."""
+    key = "spark.sql.execution.arrow.pyspark.enabled"
+    was = spark.conf.get(key)
+    spark.conf.set(key, "false")
+    yield spark
+    spark.conf.set(key, was)
+
+
+def _rdd_lineage(df) -> str:
+    return df._jdf.queryExecution().toRdd().toDebugString()
+
+
+def test_detection_starts_no_python_worker(arrow_off):
+    """The ingest frames and the job's output are read without a
+    ``PythonRDD``, and the engine's plans hold no driver-side
+    ``LocalRelation``, even with Arrow conversion off."""
+    from jobs import dupin_detect
+
+    spark = arrow_off
+    g = _graph(8)
+    for df in ingest(spark, g.vertex_weight, g.src, g.dst, g.edge_weight):
+        assert "PythonRDD" not in _rdd_lineage(df)
+    out = dupin_detect.run(spark, "gfg", 0.1)
+    assert "PythonRDD" not in _rdd_lineage(out)
+    for metric in (DW, TDS):
+        state = spark_engine._SparkState(spark, g, metric, lpo(0.1))
+        try:
+            plan = state.msgs._jdf.queryExecution().optimizedPlan().toString()
+        finally:
+            state.close()
+        # the cached table's plan is physical: a LocalRelation shows there
+        # as a LocalTableScan
+        assert "LocalRelation" not in plan and "LocalTableScan" not in plan
+
+
 def test_spark_refused_trim_runs_no_job(spark):
     """K6 plus a disjoint triangle: the triangle peels, then LPO's trim of
     the K6 is refused (it would trim nothing) and must cost no job."""
