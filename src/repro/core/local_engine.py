@@ -70,7 +70,7 @@ class EdgeState:
     neighbours. A removal counts its CSR half-edges as weight updates."""
 
     def __init__(self, a, w, f: float, c, csr):
-        self.a, self.w, self.f = a, w, f
+        self.a, self.w, self.f, self.c = a, w, f, c
         self.indptr, self.nbr, eid = csr
         self.hc = c[eid]
 

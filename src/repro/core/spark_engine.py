@@ -13,28 +13,37 @@ as state and only the peeled batch's contribution is subtracted.
   uses it too). The arrays go to Spark as Arrow tables of array-valued
   rows that Spark explodes in its tasks (:func:`_frame`), so no Python
   worker starts and the driver handles a few array rows, not one row
-  per element. The engine wraps
-  both frames in a lazy ``localCheckpoint``, so its plans read an RDD,
-  not the ``LocalRelation`` under the Arrow table, which Catalyst may
-  evaluate on the driver (``ConvertToLocalRelation``). The checkpoint
-  runs no job of its own: the set-up job stores the exploded rows.
-- **Message table**, built once and cached, hash-partitioned by ``vid``,
-  the vertex whose removal sends the row: half-edges ``(vid, dst, c)``
-  for edge metrics, or clique roles ``(vid, v0..v{k-1})`` from a single
-  :func:`cliques_df` listing for clique metrics.
+  per element. The engine wraps every frame it ships in a lazy
+  ``localCheckpoint``, so its plans read an RDD, not the
+  ``LocalRelation`` under the Arrow table, which Catalyst may evaluate
+  on the driver (``ConvertToLocalRelation``). The checkpoint runs no job
+  of its own: the first job that reads the frame stores its rows.
+- **Message table**, keyed by ``vid``, the vertex whose removal sends the
+  row: half-edges ``(vid, dst, c)`` for edge metrics, a narrow union of
+  both directions of the checkpointed edge frame, neither shuffled nor
+  cached; or clique roles ``(vid, v0..v{k-1})`` from a single
+  :func:`cliques_df` listing for clique metrics, hash-partitioned by
+  ``vid`` and cached, so the self-joins run once.
 - **Vertex-state table** ``(vid, a, w, stamp, deg)``: ``w`` is the
   current peeling weight, ``stamp`` the step that removed the vertex (0
   while alive), ``deg`` the live message rows that reach it. It is the
-  only per-step state. The initial ``w`` and ``deg`` are absorbed from
-  the message table, as each step's decrements are later;
-  :func:`edge_weights_df` and :func:`clique_weights_df` return it.
+  only per-step state. For an edge metric the driver builds it: the
+  local engine's set-up (``local_engine.make_state``, the one
+  ``peel_local`` runs) gives ``w`` and the CSR row lengths give ``deg``,
+  and :func:`_frame` ships them, so set-up runs no Spark job and ``g0``
+  is the local engine's. For a clique metric the initial ``w`` and
+  ``deg`` are absorbed from the message table, as each step's decrements
+  are later. :func:`edge_weights_df` and :func:`clique_weights_df`
+  build that table from frames.
 
 The schedule loop is :func:`repro.core.schedules.peel`; ``_SparkState``
 gives it the six members it asks of a state. ``remove`` is one step: it
 stamps the alive vertices that meet the driver's condition with a
 ``when`` expression, subtracts from each surviving vertex what the
-just-stamped batch contributed (its half-edges, or the cliques that die
-with it), and materialises the new table with one ``localCheckpoint``.
+just-stamped batch contributed (its half-edges, found by a broadcast
+join of the batch's vids, at most n of them, with the message table; or
+the cliques that die with it), and materialises the new table with one
+``localCheckpoint``, whose ``groupBy`` is an edge step's only shuffle.
 The step's scalars (|S|, Σa, Σw, min and max alive ``w``, the alive
 message rows, the step's weight updates, the batch size and its
 long-tail count) ride on that same job through ``DataFrame.observe``, so
@@ -52,11 +61,12 @@ fixed rule, never met at set-up by a graph with messages), the state
 collects ``(vid, w, stamp)`` as Arrow columns and continues the *same*
 :func:`~repro.core.schedules.peel` run on a local ``_Scan`` or ``_Heap``
 started from those stamps and seeded with Spark's ``w`` and ``f``, in
-the graph's own vids. An edge tail peels the driver's ``LocalGraph``
-CSR; a clique tail collects the live cliques through a broadcast of the
-live vertices. Steps carry on, and ``WorkLog.handoff`` records the last
-Spark step (``None`` if the run ended on Spark). ``stamps()`` collects
-the stamps once, at the end or at the handoff.
+the graph's own vids. An edge tail carries on the set-up's
+``EdgeState`` over the driver's CSR; a clique tail collects the live
+cliques through a broadcast of the live vertices. Steps carry on, and
+``WorkLog.handoff`` records the last Spark step (``None`` if the run
+ended on Spark). ``stamps()`` collects the stamps once, at the end or
+at the handoff.
 
 The engine accepts the same :class:`~repro.core.schedules.Schedule`
 objects as the local engine for the parallel modes (``threshold`` and
@@ -78,7 +88,7 @@ from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import CliqueState, EdgeState, selector
+from repro.core.local_engine import CliqueState, make_state, selector
 from repro.core.metrics import Metric
 from repro.core.schedules import PeelResult, Schedule, peel
 from repro.core.worklog import WorkLog
@@ -187,8 +197,11 @@ def _initial(verts: DataFrame, msgs: DataFrame) -> DataFrame:
 
 
 def edge_weights_df(verts: DataFrame, edges: DataFrame) -> DataFrame:
-    """Per-vertex peeling weight ``w = a + Σ incident c`` (edge metrics):
-    the engine's initial state, public so tests can oracle-check it."""
+    """Per-vertex peeling weight ``w = a + Σ incident c`` (edge metrics),
+    as the state table ``(vid, a, w, stamp=0, deg)`` absorbed from vertex
+    and edge frames. The engine builds the same table from the driver's
+    arrays instead (:class:`_SparkState`); this is the path for input
+    that is already a DataFrame."""
     return _initial(verts, _messages(edges))
 
 
@@ -266,13 +279,15 @@ def _arrays(df: DataFrame) -> list[np.ndarray]:
     return [col.to_numpy() for col in df.toArrow().columns]
 
 
-# The most alive message rows a run finishes on the driver. An edge tail
-# peels the driver's own LocalGraph, so this bounds the clique collect
-# only: a live clique's k roles come back as one row of k ids (8 B a
-# role), and the tail's membership CSR sorts them: with the sort's
-# temporaries, ~50 B a role at the peak, so 4M roles need ~0.2 GB of
-# driver memory, plus ~64 MB in the JVM to broadcast the live vertices
-# (each has a live role of its own, so there are at most 4M of them).
+# The most alive message rows a run finishes on the driver. An edge run
+# holds its EdgeState on the driver from set-up on (the graph's CSR and
+# 2m half-edge weights), so its handoff collects only (vid, w, stamp) and
+# this bounds the clique collect only: a live clique's k roles come back
+# as one row of k ids (8 B a role), and the tail's membership CSR sorts
+# them: with the sort's temporaries, ~50 B a role at the peak, so 4M roles
+# need ~0.2 GB of driver memory, plus ~64 MB in the JVM to broadcast the
+# live vertices (each has a live role of its own, so there are at most 4M
+# of them).
 HANDOFF_ROWS = 1 << 22
 
 
@@ -290,6 +305,12 @@ class _SparkState:
     member but :meth:`remove` and :meth:`stamps` reads the scalars
     observed on the last checkpoint, so it runs no Spark job.
 
+    Set-up runs no Spark job for an edge metric: the driver builds the
+    local engine's ``EdgeState`` and ships its ``(vid, a, w, stamp=0,
+    deg)`` as the state table, with the scalars read off the same
+    arrays. A clique metric lists its cliques on Spark and absorbs the
+    state from them, one checkpoint job.
+
     Once :func:`_hand_off` holds after a checkpoint, the state hands the
     rest of the run to a local ``_Scan`` or ``_Heap`` started from the
     collected stamps (:meth:`_finish_locally`); every member then
@@ -300,51 +321,77 @@ class _SparkState:
                  schedule: Schedule):
         self.k, self.kind, self.graph = metric.k, metric.kind, graph
         self.select = selector(schedule)
-        self.state = self.local = self.handoff = None
-        self.a, self.c = graph.vertex_weight, graph.edge_weight
-        if metric.kind == "edge":
-            ew = metric.build(graph)
-            self.a, self.c = ew.a, ew.c
-        # lazy checkpoints: the plans below see RDDs, not the Arrow tables'
-        # LocalRelation, and the set-up job stores the exploded rows; they
-        # run no job of their own
-        self.inputs = [
-            df.localCheckpoint(eager=False)
-            for df in ingest(spark, self.a, graph.src, graph.dst, self.c)
-        ]
-        verts, edges = self.inputs
-        # AQE cannot coalesce a cached side, so size it to the platform
-        parts = spark.sparkContext.defaultParallelism
-        self.msgs = _messages(
-            edges, self.k if metric.kind == "clique" else None
-        ).repartition(parts, "vid").cache()
+        self.state = self.local = self.handoff = self.msgs = None
+        self.inputs = []
         try:
-            self.state, self.st = _checkpoint(_initial(verts, self.msgs), 0, math.inf)
+            if metric.kind == "edge":
+                self._set_up_edges(spark, metric)
+            else:
+                self._set_up_cliques(spark)
             self.rows0 = self.st["rows"] or 0
             self._finish_locally(0)
         except BaseException:
             self.close()
             raise
 
+    def _set_up_edges(self, spark: SparkSession, metric: Metric) -> None:
+        """The local engine's set-up, shipped: the state table, the edge
+        frame and the half-edge message table over it, all lazy."""
+        g = self.graph
+        es = self.edge = make_state(g, metric)
+        deg = np.diff(es.indptr)
+        # lazy checkpoints: the plans see RDDs, not the Arrow tables'
+        # LocalRelation; the first step's jobs store the rows
+        self.state = _frame(
+            spark, vid=np.arange(g.n, dtype=np.int64), a=es.a, w=es.w,
+            stamp=np.zeros(g.n, dtype=np.int64), deg=deg,
+        ).localCheckpoint(eager=False)
+        edges = _frame(spark, src=g.src, dst=g.dst, c=es.c).localCheckpoint(eager=False)
+        self.inputs = [edges]
+        self.msgs = _messages(edges)
+        rows = int(deg.sum())
+        self.f, self.st = es.f, {"n": g.n, "rows": rows, "deg": rows}
+        if g.n:  # peel asks lo() and hi() of a non-empty state only
+            v = int(np.argmin(es.w))  # the first of the least: min (w, vid)
+            self.st.update(lo=(float(es.w[v]), v), hi=float(es.w.max()))
+
+    def _set_up_cliques(self, spark: SparkSession) -> None:
+        """List the cliques once into the cached role table and absorb the
+        initial state from it, on the checkpoint job."""
+        g = self.graph
+        # lazy checkpoints, as for edges: the set-up job stores the rows
+        self.inputs = [
+            df.localCheckpoint(eager=False)
+            for df in ingest(spark, g.vertex_weight, g.src, g.dst, g.edge_weight)
+        ]
+        verts, edges = self.inputs
+        # AQE cannot coalesce a cached side, so size it to the platform
+        parts = spark.sparkContext.defaultParallelism
+        self.msgs = _messages(edges, self.k).repartition(parts, "vid").cache()
+        self._observe(_initial(verts, self.msgs), 0, math.inf)
+
+    def _observe(self, table: DataFrame, step: int, tail: float) -> None:
+        """Checkpoint ``table`` as the state and read the step's scalars;
+        ``f`` of the alive set comes from the observed sums."""
+        self.state, self.st = _checkpoint(table, step, tail)
+        sa, sw = self.st["sa"] or 0.0, self.st["sw"] or 0.0
+        if self.kind == "edge":
+            self.f = sa + (sw - sa) / 2.0  # w = a + Σ incident c
+        else:
+            self.f = sw / self.k  # each live clique counts in k members' w
+
     @property
     def n(self) -> int:
         return self.local.n if self.local else self.st["n"]
-
-    def _f(self) -> float:
-        """f of the alive set, from the observed sums."""
-        sa, sw = self.st["sa"], self.st["sw"]
-        if self.kind == "edge":
-            return sa + (sw - sa) / 2.0  # w = a + Σ incident c
-        return sw / self.k  # each live clique counts in k members' w
 
     @property
     def g(self) -> float:
         if self.local:
             return self.local.g
-        return self._f() / self.st["n"] if self.st["n"] else 0.0
+        return self.f / self.st["n"] if self.st["n"] else 0.0
 
     def lo(self) -> tuple[float, int]:
-        return self.local.lo() if self.local else self.st["lo"]  # Row (w, vid)
+        return self.local.lo() if self.local else self.st["lo"]  # (w, vid)
 
     def hi(self) -> float:
         return self.local.hi() if self.local else self.st["hi"]
@@ -367,9 +414,7 @@ class _SparkState:
             .otherwise(F.col("stamp")),
         )
         old, deg = self.state, self.st["deg"]
-        self.state, self.st = _checkpoint(
-            _absorb(state, self._delta(state, step)), step, tail
-        )
+        self._observe(_absorb(state, self._delta(state, step)), step, tail)
         _free(old)
         done = self.st["batch"], self.st["tail"], deg - self.st["deg"]
         self._finish_locally(step)
@@ -378,10 +423,11 @@ class _SparkState:
     def _delta(self, state: DataFrame, step: int) -> DataFrame:
         """``(vid, d, deg)`` rows that the batch stamped ``step`` takes away:
         one per half-edge of the batch, or per role of each clique that
-        dies with it."""
+        dies with it. The batch's vids are broadcast: the message table is
+        probed where it lies, so the step's one shuffle is the absorb's."""
         if self.kind == "edge":
             batch = state.filter(F.col("stamp") == step).select("vid")
-            rows = self.msgs.join(batch, "vid").select(
+            rows = self.msgs.join(F.broadcast(batch), "vid").select(
                 F.col("dst").alias("vid"), (-F.col("c")).alias("d")
             )
         else:
@@ -405,11 +451,10 @@ class _SparkState:
         Collects ``(vid, w, stamp)`` into arrays over the graph's own vids
         with one job and seeds the local state with Spark's ``w`` and
         ``f``, so the tail continues this run's own numbers, in this run's
-        stamp array; steps carry on. An edge tail peels the driver's
-        ``LocalGraph`` CSR with the ``a`` and ``c`` built at set-up; a
-        clique tail collects the live cliques (two more jobs: the
-        broadcast of the live vertices, the cliques). The Spark tables
-        are freed.
+        stamp array; steps carry on. An edge tail carries on the set-up's
+        ``EdgeState`` over the driver's ``LocalGraph`` CSR; a clique tail
+        collects the live cliques (two more jobs: the broadcast of the
+        live vertices, the cliques). The Spark tables are freed.
         """
         if not self.st["n"] or not _hand_off(self.st["rows"], self.rows0):
             return
@@ -418,7 +463,8 @@ class _SparkState:
         stamp = np.zeros(self.graph.n, dtype=np.int64)
         w[vid], stamp[vid] = wv, stp
         if self.kind == "edge":
-            tail = EdgeState(self.a, w, self._f(), self.c, self.graph.csr())
+            tail = self.edge
+            tail.w, tail.f = w, self.f
         else:
             # a live clique's members are alive vertices with live roles:
             # at most ``rows`` of them, so they are broadcast
@@ -431,7 +477,7 @@ class _SparkState:
             for end in ends:  # one broadcast, reused by every member
                 rows = rows.join(live.withColumnRenamed("vid", end), end, "left_semi")
             cliques = np.column_stack(_arrays(rows.select(*ends)))
-            tail = CliqueState(w, self._f(), cliques, self.k)
+            tail = CliqueState(w, self.f, cliques, self.k)
         self.local, self.handoff = self.select(tail, stamp), step
         self.close()
 
@@ -446,7 +492,8 @@ class _SparkState:
     def close(self) -> None:
         """Free the cached message table, the checkpointed inputs and the
         checkpointed state."""
-        self.msgs.unpersist()
+        if self.msgs is not None:
+            self.msgs.unpersist()
         for df in self.inputs:
             _free(df)
         self.inputs = []

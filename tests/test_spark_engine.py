@@ -4,6 +4,7 @@ import dataclasses
 import uuid
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core import DG, DW, FD, TDS, from_edges, kclids, peel_local, peel_spark
@@ -303,15 +304,81 @@ def test_handoff_jobs(spark, monkeypatch, metric, handoff_jobs):
     assert jobs - setup == handoff_jobs
 
 
+def test_edge_set_up_runs_no_job(spark):
+    """An edge metric's set-up ships the driver's state: no Spark job."""
+    g = _graph(1)
+    assert g.m
+    for metric in (DG, DW, FD):
+        state, jobs = _count_jobs(
+            spark, lambda: spark_engine._SparkState(spark, g, metric, lpo(0.1))
+        )
+        state.close()
+        assert jobs == 0, metric.name
+
+
+def test_edge_step_joins_the_batch_by_broadcast(spark, monkeypatch):
+    """Every Spark step of an edge metric broadcasts its batch into the
+    message table: no sort-merge join, so the absorb is the one shuffle."""
+    plans, checkpoint = [], spark_engine._checkpoint
+
+    def spy(table, step, tail):
+        plans.append(table._jdf.queryExecution().executedPlan().toString())
+        return checkpoint(table, step, tail)
+
+    monkeypatch.setattr(spark_engine, "_checkpoint", spy)
+    monkeypatch.setattr(spark_engine, "_hand_off", _never)
+    res = peel_spark(spark, _graph(1), DW, lpo(0.1))
+    assert len(plans) == res.n_rounds + res.n_trim_rounds
+    for plan in plans:
+        assert "BroadcastHashJoin" in plan and "SortMergeJoin" not in plan
+
+
+def _session_conf(spark, conf):
+    """Yield ``spark`` with the SQL settings ``conf``; restored afterwards."""
+    was = {key: spark.conf.get(key) for key in conf}
+    for key, value in conf.items():
+        spark.conf.set(key, value)
+    try:
+        yield spark
+    finally:
+        for key, value in was.items():
+            spark.conf.set(key, value)
+
+
 @pytest.fixture
 def arrow_off(spark):
     """The session with Arrow conversion off, as ``spark-submit`` runs the
     job by default; restored afterwards."""
-    key = "spark.sql.execution.arrow.pyspark.enabled"
-    was = spark.conf.get(key)
-    spark.conf.set(key, "false")
-    yield spark
-    spark.conf.set(key, was)
+    yield from _session_conf(
+        spark, {"spark.sql.execution.arrow.pyspark.enabled": "false"}
+    )
+
+
+@pytest.fixture
+def one_partition_no_aqe(spark):
+    """The session with adaptive execution off and one shuffle partition;
+    restored afterwards."""
+    yield from _session_conf(spark, {
+        "spark.sql.adaptive.enabled": "false",
+        "spark.sql.shuffle.partitions": "1",
+    })
+
+
+@pytest.mark.parametrize("metric,sched", [(DW, lpo(0.1)), (FD, gpo(0.1))],
+                         ids=["DW-lpo", "FD-gpo"])
+@pytest.mark.parametrize("all_on_spark", [False, True],
+                         ids=["handoff", "all-on-spark"])
+def test_spark_matches_local_other_session(one_partition_no_aqe, monkeypatch,
+                                           metric, sched, all_on_spark):
+    """Spark ≡ local does not rest on the session's shuffle settings."""
+    spark = one_partition_no_aqe
+    if all_on_spark:
+        monkeypatch.setattr(spark_engine, "_hand_off", _never)
+    g = _graph(1)
+    rl = peel_local(g, metric, sched)
+    rs = peel_spark(spark, g, metric, sched)
+    assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
+    _assert_same_records(rl, rs)
 
 
 def _rdd_lineage(df) -> str:
@@ -333,12 +400,16 @@ def test_detection_starts_no_python_worker(arrow_off):
     for metric in (DW, TDS):
         state = spark_engine._SparkState(spark, g, metric, lpo(0.1))
         try:
-            plan = state.msgs._jdf.queryExecution().optimizedPlan().toString()
+            # a cached table's plan is physical: a LocalRelation shows
+            # there as a LocalTableScan
+            plans = [
+                df._jdf.queryExecution().optimizedPlan().toString()
+                for df in (state.msgs, state.state)
+            ]
         finally:
             state.close()
-        # the cached table's plan is physical: a LocalRelation shows there
-        # as a LocalTableScan
-        assert "LocalRelation" not in plan and "LocalTableScan" not in plan
+        for plan in plans:
+            assert "LocalRelation" not in plan and "LocalTableScan" not in plan
 
 
 def test_spark_refused_trim_runs_no_job(spark):
@@ -399,6 +470,44 @@ def test_edge_weights_df_oracle(spark, metric, g):
         verts=verts,
         edges=edges,
     )
+
+
+@pytest.mark.parametrize("metric,g", [
+    (DG, _graph(7, n=18, m=50)),
+    (DW, _graph(7, n=18, m=50)),
+    # nonzero a, and isolated vertices whose w is a alone and deg 0
+    (FD, _graph(7, n=30, m=20)),
+], ids=["DG", "DW", "FD-isolated"])
+def test_edge_state_table_oracle(spark, metric, g):
+    """The state table an edge-metric run starts from holds
+    ``w = a + Σ incident c`` and ``deg`` = the degree, as the equivalent
+    SQL over the metric's own arrays computes them."""
+    ew = metric.build(g)
+    if metric is FD:
+        assert (g.degrees() == 0).any() and (ew.a > 0).all()
+    state = spark_engine._SparkState(spark, g, metric, lpo(0.1))
+    try:
+        assert_equivalent(
+            state.state,
+            """
+            SELECT v.vid AS vid, v.a AS a,
+                   v.a + COALESCE(s.wsum, 0.0) AS w,
+                   0 AS stamp,
+                   COALESCE(s.deg, 0) AS deg
+            FROM verts v
+            LEFT JOIN (
+                SELECT vid, SUM(c) AS wsum, COUNT(*) AS deg FROM (
+                    SELECT src AS vid, c FROM edges
+                    UNION ALL
+                    SELECT dst AS vid, c FROM edges
+                ) GROUP BY vid
+            ) s ON v.vid = s.vid
+            """,
+            verts=pd.DataFrame({"vid": np.arange(g.n), "a": ew.a}),
+            edges=pd.DataFrame({"src": g.src, "dst": g.dst, "c": ew.c}),
+        )
+    finally:
+        state.close()
 
 
 def test_triangle_count_oracle(spark):
