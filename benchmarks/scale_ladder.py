@@ -1,25 +1,29 @@
-"""Scale ladder: the Spark engine against the local engine on la x{1, 2, 4, 8}.
+"""Scale ladder: the Spark engine against the local engine on la x{1, 2, 4, 8}
+and soc x{0.25, 1, 2}.
 
 Run from the root of a checkout:
 
     python3 benchmarks/scale_ladder.py                      # la x1, x2, x4, x8
     python3 benchmarks/scale_ladder.py --scales 16 --driver-memory 6g
 
-Each rung runs DupinLPO (ε = 0.1) with the DW metric in a child process
-of its own, so it starts a fresh JVM in the Spark session of
+``--scales`` picks the la rungs, which run DupinLPO (ε = 0.1) with the
+DW metric. The soc rungs, DupinGPO (ε = 0.1) with the triangle metric
+TDS, are fixed and run after them every time. Each rung runs in a child
+process of its own, so it starts a fresh JVM in the Spark session of
 ``detectbench/config.json`` (master, driver memory, SQL settings). The
 child runs ``peel_spark`` twice, cold then warm, each on a copy of the
-graph with no CSR cached, as a job that loads its input pays. It then
-runs ``peel_local`` and fails unless both Spark runs gave its stamps.
+graph with no CSR or clique list cached, as a job that loads its input
+pays. It then runs ``peel_local`` and fails unless both Spark runs gave
+its stamps.
 
-The x16 rung (608k vertices, 11.2M edges; a few minutes, ~2 GB in the
-Python process) is the one where ``HANDOFF_ROWS`` binds instead of a
-quarter of the set-up rows, so it is left out by default; run it after
-any change to the handoff. Its first Spark step runs out of heap in a
-2 GB JVM, so it needs ``--driver-memory``. The script prints one JSON
-object per rung: seconds and Spark jobs of each run, the step it handed
-off after, the driver process's peak RSS over the Spark runs (before
-the reference run) and the JVM's peak RSS.
+The la x16 rung (608k vertices, 11.2M edges; a few minutes, ~2 GB in
+the Python process) is the largest graph the machine holds and the
+longest Spark tail before the handoff, so it is left out by default;
+run it after any change to the handoff. Its first Spark step runs out
+of heap in a 2 GB JVM, so it needs ``--driver-memory``. The script
+prints one JSON object per rung: seconds and Spark jobs of each run,
+the step it handed off after, the driver process's peak RSS over the
+Spark runs (before the reference run) and the JVM's peak RSS.
 
 The file name keeps pytest from collecting it.
 """
@@ -36,7 +40,8 @@ import uuid
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_SCALES = (1, 2, 4, 8)
+DEFAULT_SCALES = (1, 2, 4, 8)  # la
+SOC_SCALES = (0.25, 1, 2)
 
 
 def _jobs(sc, fn):
@@ -52,7 +57,7 @@ def _jobs(sc, fn):
     return res, len(sc.statusTracker().getJobIdsForGroup(group))
 
 
-def rung(scale: float, driver_memory: str | None) -> dict:
+def rung(dataset: str, scale: float, driver_memory: str | None) -> dict:
     """One rung in this process: two Spark runs, then the reference."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "detectbench")]
     import numpy as np
@@ -61,13 +66,15 @@ def rung(scale: float, driver_memory: str | None) -> dict:
 
     if driver_memory:
         session.CONFIG["driver_memory"] = driver_memory
-    from repro.core import DW, LocalGraph, peel_local, peel_spark
-    from repro.core.schedules import lpo
+    from repro.core import DW, TDS, LocalGraph, peel_local, peel_spark
+    from repro.core.schedules import gpo, lpo
     from repro.graphgen import load_dataset
 
+    metric, schedule = {"la": (DW, lpo(0.1)), "soc": (TDS, gpo(0.1))}[dataset]
     t0 = time.perf_counter()
-    g = load_dataset("la", scale)
+    g = load_dataset(dataset, scale)
     out = {
+        "dataset": dataset, "metric": metric.name, "schedule": schedule.name,
         "scale": scale, "n": g.n, "m": g.m, "gen_s": time.perf_counter() - t0,
         "driver_memory": session.CONFIG["driver_memory"],
     }
@@ -83,7 +90,7 @@ def rung(scale: float, driver_memory: str | None) -> dict:
             for name in ("cold", "warm"):
                 t0 = time.perf_counter()
                 res, jobs = _jobs(
-                    spark.sparkContext, lambda: peel_spark(spark, copy(), DW, lpo(0.1))
+                    spark.sparkContext, lambda: peel_spark(spark, copy(), metric, schedule)
                 )
                 out[name] = {
                     "seconds": time.perf_counter() - t0,
@@ -100,11 +107,13 @@ def rung(scale: float, driver_memory: str | None) -> dict:
     out["jvm_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 
     t0 = time.perf_counter()
-    ref = peel_local(copy(), DW, lpo(0.1))
+    ref = peel_local(copy(), metric, schedule)
     out["local_s"] = time.perf_counter() - t0
     for name, res in zip(("cold", "warm"), runs):
         if not np.array_equal(res.peel_stamp, ref.peel_stamp):
-            raise RuntimeError(f"la x{scale} {name}: Spark stamps differ from peel_local's")
+            raise RuntimeError(
+                f"{dataset} x{scale} {name}: Spark stamps differ from peel_local's"
+            )
     out["stamps_equal"] = True
     return out
 
@@ -113,16 +122,18 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--scales", type=float, nargs="+", default=DEFAULT_SCALES)
     p.add_argument("--driver-memory", help="the JVM heap, instead of config.json's")
-    p.add_argument("--rung", type=float, help=argparse.SUPPRESS)  # child process
+    p.add_argument("--rung", nargs=2, help=argparse.SUPPRESS)  # child process
     args = p.parse_args(argv)
     if args.rung is not None:
-        print(json.dumps(rung(args.rung, args.driver_memory)), flush=True)
+        dataset, scale = args.rung
+        print(json.dumps(rung(dataset, float(scale), args.driver_memory)), flush=True)
         return 0
     extra = ["--driver-memory", args.driver_memory] if args.driver_memory else []
+    rungs = [("la", s) for s in args.scales] + [("soc", s) for s in SOC_SCALES]
     results = []
-    for scale in args.scales:
+    for dataset, scale in rungs:
         child = subprocess.run(
-            [sys.executable, __file__, "--rung", str(scale), *extra],
+            [sys.executable, __file__, "--rung", dataset, str(scale), *extra],
             stdout=subprocess.PIPE, text=True, check=True,
         )
         results.append(json.loads(child.stdout.strip().splitlines()[-1]))

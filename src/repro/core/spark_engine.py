@@ -18,23 +18,24 @@ as state and only the peeled batch's contribution is subtracted.
   ``LocalRelation`` under the Arrow table, which Catalyst may evaluate
   on the driver (``ConvertToLocalRelation``). The checkpoint runs no job
   of its own: the first job that reads the frame stores its rows.
+- **Set-up on the driver.** For every metric the driver runs the local
+  engine's set-up (``local_engine.make_state``, the one ``peel_local``
+  runs; for a clique metric, its kCLIST listing) and :func:`_frame`
+  ships what Spark peels: the state table, and the checkpointed edge
+  frame or clique list. So set-up runs no Spark job, ``g0``, ``lo()``
+  and ``hi()`` come from the driver's arrays, and Spark lists no clique.
 - **Message table**, keyed by ``vid``, the vertex whose removal sends the
   row: half-edges ``(vid, dst, c)`` for edge metrics, a narrow union of
-  both directions of the checkpointed edge frame, neither shuffled nor
-  cached; or clique roles ``(vid, v0..v{k-1})`` from a single
-  :func:`cliques_df` listing for clique metrics, hash-partitioned by
-  ``vid`` and cached, so the self-joins run once.
+  both directions of the edge frame, neither shuffled nor cached; or
+  clique roles ``(vid, v0..v{k-1})`` for clique metrics, one per member
+  of each shipped clique, hash-partitioned by ``vid`` and cached.
 - **Vertex-state table** ``(vid, a, w, stamp, deg)``: ``w`` is the
   current peeling weight, ``stamp`` the step that removed the vertex (0
-  while alive), ``deg`` the live message rows that reach it. It is the
-  only per-step state. For an edge metric the driver builds it: the
-  local engine's set-up (``local_engine.make_state``, the one
-  ``peel_local`` runs) gives ``w`` and the CSR row lengths give ``deg``,
-  and :func:`_frame` ships them, so set-up runs no Spark job and ``g0``
-  is the local engine's. For a clique metric the initial ``w`` and
-  ``deg`` are absorbed from the message table, as each step's decrements
-  are later. :func:`edge_weights_df` and :func:`clique_weights_df`
-  build that table from frames.
+  while alive), ``deg`` the live message rows that reach it: at set-up
+  the CSR row length, or the vertex's clique count. It is the only
+  per-step state. :func:`edge_weights_df` and :func:`clique_weights_df`
+  build the same table from frames, with Spark's own aggregation and,
+  for cliques, its self-join listing (:func:`cliques_df`).
 
 The schedule loop is :func:`repro.core.schedules.peel`; ``_SparkState``
 gives it the six members it asks of a state. ``remove`` is one step: it
@@ -56,17 +57,17 @@ after which a Spark step mostly pays its fixed cost. So, as in the
 filtering method of Lattanzi, Moseley, Suri & Vassilvitskii (SPAA 2011),
 the run shrinks the graph on Spark until it fits the driver, then
 finishes there: once the alive message rows fall to a quarter of the
-set-up rows and to at most :data:`HANDOFF_ROWS` (:func:`_hand_off`, a
-fixed rule, never met at set-up by a graph with messages), the state
-collects ``(vid, w, stamp)`` as Arrow columns and continues the *same*
+set-up rows (:func:`_hand_off`, a fixed rule, never met at set-up by a
+graph with messages), the state collects ``(vid, w, stamp)`` as Arrow
+columns, one job, and continues the *same*
 :func:`~repro.core.schedules.peel` run on a local ``_Scan`` or ``_Heap``
-started from those stamps and seeded with Spark's ``w`` and ``f``, in
-the graph's own vids. An edge tail carries on the set-up's
-``EdgeState`` over the driver's CSR; a clique tail collects the live
-cliques through a broadcast of the live vertices. Steps carry on, and
-``WorkLog.handoff`` records the last Spark step (``None`` if the run
-ended on Spark). ``stamps()`` collects the stamps once, at the end or
-at the handoff.
+started from those stamps, in the graph's own vids. The tail carries on
+the set-up's ``EdgeState`` or ``CliqueState``, seeded with Spark's ``w``
+and ``f``; a clique state keeps the cliques none of whose members is
+stamped, since a clique dies with its first stamped member. Steps carry
+on, and ``WorkLog.handoff`` records the last Spark step (``None`` if the
+run ended on Spark). ``stamps()`` collects the stamps once, at the end
+or at the handoff.
 
 The engine accepts the same :class:`~repro.core.schedules.Schedule`
 objects as the local engine for the parallel modes (``threshold`` and
@@ -88,7 +89,7 @@ from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import CliqueState, make_state, selector
+from repro.core.local_engine import make_state, selector
 from repro.core.metrics import Metric
 from repro.core.schedules import PeelResult, Schedule, peel
 from repro.core.worklog import WorkLog
@@ -163,19 +164,17 @@ def cliques_df(edges: DataFrame, k: int) -> DataFrame:
     return cl
 
 
-def _messages(edges: DataFrame, k: int | None = None) -> DataFrame:
+def _messages(table: DataFrame, k: int | None = None) -> DataFrame:
     """The message table, keyed by ``vid``, the vertex whose removal sends
-    the row: half-edges ``(vid, dst, c)``, or, given ``k``, one role row
-    ``(vid, v0..v{k-1})`` per member of each k-clique, exploded from a
-    single listing so the self-joins run once."""
+    the row: the half-edges ``(vid, dst, c)`` of an edge frame, or, given
+    ``k``, one role row ``(vid, v0..v{k-1})`` per member of each clique of
+    a clique frame."""
     if k is None:
-        return edges.select(F.col("src").alias("vid"), "dst", "c").unionAll(
-            edges.select(F.col("dst").alias("vid"), F.col("src").alias("dst"), "c")
+        return table.select(F.col("src").alias("vid"), "dst", "c").unionAll(
+            table.select(F.col("dst").alias("vid"), F.col("src").alias("dst"), "c")
         )
     members = [f"v{j}" for j in range(k)]
-    return cliques_df(edges, k).select(
-        F.explode(F.array(*members)).alias("vid"), *members
-    )
+    return table.select(F.explode(F.array(*members)).alias("vid"), *members)
 
 
 def _initial(verts: DataFrame, msgs: DataFrame) -> DataFrame:
@@ -206,9 +205,11 @@ def edge_weights_df(verts: DataFrame, edges: DataFrame) -> DataFrame:
 
 
 def clique_weights_df(verts: DataFrame, edges: DataFrame, k: int) -> DataFrame:
-    """Per-vertex clique counts ``w`` = #k-cliques containing the vertex:
-    the engine's initial state for a clique metric."""
-    return _initial(verts, _messages(edges, k))
+    """Per-vertex clique counts ``w`` = #k-cliques containing the vertex,
+    as the state table absorbed from the roles of a :func:`cliques_df`
+    listing: the DataFrame-input path to the table the engine builds from
+    the driver's clique list."""
+    return _initial(verts, _messages(cliques_df(edges, k), k))
 
 
 def _absorb(state: DataFrame, delta: DataFrame) -> DataFrame:
@@ -279,25 +280,15 @@ def _arrays(df: DataFrame) -> list[np.ndarray]:
     return [col.to_numpy() for col in df.toArrow().columns]
 
 
-# The most alive message rows a run finishes on the driver. An edge run
-# holds its EdgeState on the driver from set-up on (the graph's CSR and
-# 2m half-edge weights), so its handoff collects only (vid, w, stamp) and
-# this bounds the clique collect only: a live clique's k roles come back
-# as one row of k ids (8 B a role), and the tail's membership CSR sorts
-# them: with the sort's temporaries, ~50 B a role at the peak, so 4M roles
-# need ~0.2 GB of driver memory, plus ~64 MB in the JVM to broadcast the
-# live vertices (each has a live role of its own, so there are at most 4M
-# of them).
-HANDOFF_ROWS = 1 << 22
-
-
 def _hand_off(rows: int, rows0: int) -> bool:
     """Whether a run whose alive message rows fell from ``rows0`` at set-up
-    to ``rows`` finishes on the driver. A quarter of the set-up rows binds
-    at repo scale, where one more Spark step costs more than the driver's
-    whole tail; HANDOFF_ROWS binds at paper scale. A graph with messages
-    never meets it at set-up, so the first step always runs on Spark."""
-    return rows <= min(rows0 // 4, HANDOFF_ROWS)
+    to ``rows`` finishes on the driver: once a quarter of the set-up rows
+    is left, one more Spark step costs more than the driver's whole tail.
+    The driver holds the run's set-up state from the start, so the
+    handoff collects only ``(vid, w, stamp)`` and no size bound is needed.
+    A graph with messages never meets the rule at set-up, so the first
+    step always runs on Spark."""
+    return rows <= rows0 // 4
 
 
 class _SparkState:
@@ -305,16 +296,16 @@ class _SparkState:
     member but :meth:`remove` and :meth:`stamps` reads the scalars
     observed on the last checkpoint, so it runs no Spark job.
 
-    Set-up runs no Spark job for an edge metric: the driver builds the
-    local engine's ``EdgeState`` and ships its ``(vid, a, w, stamp=0,
-    deg)`` as the state table, with the scalars read off the same
-    arrays. A clique metric lists its cliques on Spark and absorbs the
-    state from them, one checkpoint job.
+    Set-up runs no Spark job: the driver builds the local engine's state
+    (``base``, an ``EdgeState`` or ``CliqueState``) and ships its
+    ``(vid, a, w, stamp=0, deg)`` as the state table, with the scalars
+    read off the same arrays (:meth:`_set_up`).
 
     Once :func:`_hand_off` holds after a checkpoint, the state hands the
-    rest of the run to a local ``_Scan`` or ``_Heap`` started from the
-    collected stamps (:meth:`_finish_locally`); every member then
-    delegates to that ``local`` state, in the graph's own vids.
+    rest of the run to a local ``_Scan`` or ``_Heap`` over ``base``,
+    started from the collected stamps (:meth:`_finish_locally`); every
+    member then delegates to that ``local`` state, in the graph's own
+    vids.
     """
 
     def __init__(self, spark: SparkSession, graph: LocalGraph, metric: Metric,
@@ -324,51 +315,45 @@ class _SparkState:
         self.state = self.local = self.handoff = self.msgs = None
         self.inputs = []
         try:
-            if metric.kind == "edge":
-                self._set_up_edges(spark, metric)
-            else:
-                self._set_up_cliques(spark)
-            self.rows0 = self.st["rows"] or 0
+            self._set_up(spark, metric)
             self._finish_locally(0)
         except BaseException:
             self.close()
             raise
 
-    def _set_up_edges(self, spark: SparkSession, metric: Metric) -> None:
-        """The local engine's set-up, shipped: the state table, the edge
-        frame and the half-edge message table over it, all lazy."""
+    def _set_up(self, spark: SparkSession, metric: Metric) -> None:
+        """The local engine's set-up, shipped: the state table, and the
+        edge frame or the clique list with the message table over it, all
+        lazy. The clique roles are hash-partitioned by ``vid`` and cached,
+        so each step joins them where they lie."""
         g = self.graph
-        es = self.edge = make_state(g, metric)
-        deg = np.diff(es.indptr)
+        base = self.base = make_state(g, metric)
+        if self.kind == "edge":
+            a, deg = base.a, np.diff(base.indptr)
+            cols = {"src": g.src, "dst": g.dst, "c": base.c}
+        else:
+            a, deg = g.vertex_weight, base.w.astype(np.int64)
+            cols = {f"v{j}": col for j, col in enumerate(base.cliques.T)}
         # lazy checkpoints: the plans see RDDs, not the Arrow tables'
         # LocalRelation; the first step's jobs store the rows
         self.state = _frame(
-            spark, vid=np.arange(g.n, dtype=np.int64), a=es.a, w=es.w,
+            spark, vid=np.arange(g.n, dtype=np.int64), a=a, w=base.w,
             stamp=np.zeros(g.n, dtype=np.int64), deg=deg,
         ).localCheckpoint(eager=False)
-        edges = _frame(spark, src=g.src, dst=g.dst, c=es.c).localCheckpoint(eager=False)
-        self.inputs = [edges]
-        self.msgs = _messages(edges)
-        rows = int(deg.sum())
-        self.f, self.st = es.f, {"n": g.n, "rows": rows, "deg": rows}
+        table = _frame(spark, **cols).localCheckpoint(eager=False)
+        self.inputs = [table]
+        if self.kind == "edge":
+            self.msgs = _messages(table)
+        else:
+            # AQE cannot coalesce a cached side, so size it to the platform
+            parts = spark.sparkContext.defaultParallelism
+            self.msgs = _messages(table, self.k).repartition(parts, "vid").cache()
+        self.rows0 = int(deg.sum())
+        self.f = base.f
+        self.st = {"n": g.n, "rows": self.rows0, "deg": self.rows0}
         if g.n:  # peel asks lo() and hi() of a non-empty state only
-            v = int(np.argmin(es.w))  # the first of the least: min (w, vid)
-            self.st.update(lo=(float(es.w[v]), v), hi=float(es.w.max()))
-
-    def _set_up_cliques(self, spark: SparkSession) -> None:
-        """List the cliques once into the cached role table and absorb the
-        initial state from it, on the checkpoint job."""
-        g = self.graph
-        # lazy checkpoints, as for edges: the set-up job stores the rows
-        self.inputs = [
-            df.localCheckpoint(eager=False)
-            for df in ingest(spark, g.vertex_weight, g.src, g.dst, g.edge_weight)
-        ]
-        verts, edges = self.inputs
-        # AQE cannot coalesce a cached side, so size it to the platform
-        parts = spark.sparkContext.defaultParallelism
-        self.msgs = _messages(edges, self.k).repartition(parts, "vid").cache()
-        self._observe(_initial(verts, self.msgs), 0, math.inf)
+            v = int(np.argmin(base.w))  # the first of the least: min (w, vid)
+            self.st.update(lo=(float(base.w[v]), v), hi=float(base.w.max()))
 
     def _observe(self, table: DataFrame, step: int, tail: float) -> None:
         """Checkpoint ``table`` as the state and read the step's scalars;
@@ -449,35 +434,21 @@ class _SparkState:
         """Hand the run to the local engine if :func:`_hand_off` holds.
 
         Collects ``(vid, w, stamp)`` into arrays over the graph's own vids
-        with one job and seeds the local state with Spark's ``w`` and
-        ``f``, so the tail continues this run's own numbers, in this run's
-        stamp array; steps carry on. An edge tail carries on the set-up's
-        ``EdgeState`` over the driver's ``LocalGraph`` CSR; a clique tail
-        collects the live cliques (two more jobs: the broadcast of the
-        live vertices, the cliques). The Spark tables are freed.
+        with one job and seeds ``base`` with Spark's ``w`` and ``f``, so
+        the tail continues this run's own numbers, in this run's stamp
+        array; steps carry on. A clique dies in the step that stamps its
+        first member, so the live cliques are those with no stamped
+        member. The Spark tables are freed.
         """
         if not self.st["n"] or not _hand_off(self.st["rows"], self.rows0):
             return
         vid, wv, stp = _arrays(self.state.select("vid", "w", "stamp"))
-        w = np.zeros(self.graph.n)
+        tail = self.base
+        tail.w, tail.f = np.zeros(self.graph.n), self.f
         stamp = np.zeros(self.graph.n, dtype=np.int64)
-        w[vid], stamp[vid] = wv, stp
-        if self.kind == "edge":
-            tail = self.edge
-            tail.w, tail.f = w, self.f
-        else:
-            # a live clique's members are alive vertices with live roles:
-            # at most ``rows`` of them, so they are broadcast
-            live = F.broadcast(
-                self.state.filter((F.col("stamp") == 0) & (F.col("deg") > 0))
-                .select("vid")
-            )
-            ends = [f"v{j}" for j in range(self.k)]
-            rows = self.msgs.filter(F.col("vid") == F.col("v0"))  # each once
-            for end in ends:  # one broadcast, reused by every member
-                rows = rows.join(live.withColumnRenamed("vid", end), end, "left_semi")
-            cliques = np.column_stack(_arrays(rows.select(*ends)))
-            tail = CliqueState(w, self.f, cliques, self.k)
+        tail.w[vid], stamp[vid] = wv, stp
+        if self.kind == "clique":
+            tail.alive_clique = (stamp[tail.cliques] == 0).all(axis=1)
         self.local, self.handoff = self.select(tail, stamp), step
         self.close()
 

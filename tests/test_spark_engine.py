@@ -236,31 +236,36 @@ def _persisted(spark):
 
 @pytest.mark.parametrize("case", ["handoff", "all-on-spark", "raises"])
 def test_peel_spark_leaves_nothing_cached(spark, monkeypatch, case):
-    """The message table and every checkpointed state table are freed,
-    whether the run hands off, stays on Spark, or fails mid-run."""
+    """The message table (for TDS the cached clique roles), the shipped
+    edge frame or clique list, and every checkpointed state table are
+    freed, whether the run hands off, stays on Spark, or fails mid-run."""
     g = _graph(1)
-    before = _persisted(spark)
-    if case == "all-on-spark":
+    if case != "handoff":
         monkeypatch.setattr(spark_engine, "_hand_off", _never)
     if case == "raises":
         def failing_peel(state, schedule, k, log):
             state.remove(1, le=state.g)
             raise RuntimeError("failed mid-run")
 
-        monkeypatch.setattr(spark_engine, "_hand_off", _never)
         monkeypatch.setattr(spark_engine, "peel", failing_peel)
-        with pytest.raises(RuntimeError, match="mid-run"):
-            peel_spark(spark, g, DW, lpo(0.1))
-    else:
-        res = peel_spark(spark, g, DW, lpo(0.1))
-        assert (res.worklog.handoff is None) == (case == "all-on-spark")
-    assert _persisted(spark) <= before
+    for metric in (DW, TDS):
+        before = _persisted(spark)
+        if case == "raises":
+            with pytest.raises(RuntimeError, match="mid-run"):
+                peel_spark(spark, g, metric, lpo(0.1))
+        else:
+            res = peel_spark(spark, g, metric, lpo(0.1))
+            assert (res.worklog.handoff is None) == (case == "all-on-spark")
+        assert _persisted(spark) <= before, metric.name
 
 
 # ---- Spark job budget ---------------------------------------------------
 
-SETUP_JOBS = 5  # message table, initial weights, final collect (measured)
-STEP_JOBS = 3  # stamp + delta + checkpoint of one step (measured, edge metrics)
+# measured: set-up runs no job, and a run collects once, at the handoff
+# or at the end; an edge step under AQE runs three: the batch's
+# broadcast, the absorb's map side and the checkpoint
+SETUP_JOBS = 1
+STEP_JOBS = 3
 
 
 def _count_jobs(spark, fn):
@@ -277,21 +282,26 @@ def _count_jobs(spark, fn):
     return res, len(sc.statusTracker().getJobIdsForGroup(group))
 
 
-def test_spark_job_budget(spark):
+def test_spark_job_budget(spark, monkeypatch):
+    """Measured counts: a run costs exactly its Spark steps' jobs and one
+    collect, whether it hands off (after step ``handoff``) or ends on
+    Spark."""
     g = _graph(1)
     res, jobs = _count_jobs(spark, lambda: peel_spark(spark, g, DW, lpo(0.1)))
     steps = res.n_rounds + res.n_trim_rounds
-    assert res.n_trim_rounds > 0
-    assert jobs <= SETUP_JOBS + STEP_JOBS * steps
+    assert res.n_trim_rounds > 0 and 0 < res.worklog.handoff < steps
+    assert jobs == SETUP_JOBS + STEP_JOBS * res.worklog.handoff
+    monkeypatch.setattr(spark_engine, "_hand_off", _never)
+    res, jobs = _count_jobs(spark, lambda: peel_spark(spark, g, DW, lpo(0.1)))
+    assert jobs == SETUP_JOBS + STEP_JOBS * (res.n_rounds + res.n_trim_rounds)
 
 
-@pytest.mark.parametrize("metric,handoff_jobs", [(DW, 1), (TDS, 3)],
-                         ids=["DW", "TDS"])
-def test_handoff_jobs(spark, monkeypatch, metric, handoff_jobs):
-    """A run handed off at set-up costs its set-up plus the handoff: one
-    collect of ``(vid, w, stamp)`` for an edge metric, which peels the
-    driver's graph; for a clique metric also the broadcast of the live
-    vertices and the collect of the live cliques."""
+@pytest.mark.parametrize("metric", [DW, TDS], ids=lambda m: m.name)
+def test_handoff_jobs(spark, monkeypatch, metric):
+    """A run handed off at set-up costs its set-up plus the handoff, one
+    collect of ``(vid, w, stamp)``, for either metric kind: the driver
+    holds the set-up state, so the tail peels the driver's graph or
+    clique list."""
     g = _graph(3, n=26, m=90)
     monkeypatch.setattr(spark_engine, "_hand_off", _never)
     state, setup = _count_jobs(
@@ -301,19 +311,21 @@ def test_handoff_jobs(spark, monkeypatch, metric, handoff_jobs):
     monkeypatch.setattr(spark_engine, "_hand_off", _always)
     res, jobs = _count_jobs(spark, lambda: peel_spark(spark, g, metric, dupin(0.1)))
     assert res.worklog.handoff == 0
-    assert jobs - setup == handoff_jobs
+    assert jobs - setup == 1
 
 
-def test_edge_set_up_runs_no_job(spark):
-    """An edge metric's set-up ships the driver's state: no Spark job."""
-    g = _graph(1)
-    assert g.m
-    for metric in (DG, DW, FD):
-        state, jobs = _count_jobs(
-            spark, lambda: spark_engine._SparkState(spark, g, metric, lpo(0.1))
-        )
-        state.close()
-        assert jobs == 0, metric.name
+@pytest.mark.parametrize("metric", [DG, DW, FD, TDS, kclids(4)],
+                         ids=lambda m: m.name)
+def test_set_up_runs_no_job(spark, metric):
+    """Set-up ships the driver's state and the edge frame or clique list:
+    no Spark job, for either metric kind."""
+    g = _graph(4, n=20, m=70)  # has 4-cliques: no metric hands off at set-up
+    state, jobs = _count_jobs(
+        spark, lambda: spark_engine._SparkState(spark, g, metric, lpo(0.1))
+    )
+    state.close()
+    assert state.handoff is None
+    assert jobs == 0
 
 
 def test_edge_step_joins_the_batch_by_broadcast(spark, monkeypatch):
@@ -472,24 +484,52 @@ def test_edge_weights_df_oracle(spark, metric, g):
     )
 
 
+def _clique_roles_sql(k: int) -> str:
+    """SQL for one row ``vid`` per member of each k-clique of ``edges``
+    (``src < dst``): a join of k(k-1)/2 edges, the one from ``v{i}`` to
+    ``v{j}`` for every pair ``i < j``."""
+    pairs = [(i, j) for j in range(1, k) for i in range(j)]
+    v = ["e0_1.src"] + [f"e0_{j}.dst" for j in range(1, k)]
+    on = " AND ".join(f"e{i}_{j}.src = {v[i]} AND e{i}_{j}.dst = {v[j]}"
+                      for i, j in pairs)
+    cliques = (
+        f"SELECT {', '.join(f'{x} AS v{j}' for j, x in enumerate(v))} "
+        f"FROM {', '.join(f'edges e{i}_{j}' for i, j in pairs)} WHERE {on}"
+    )
+    return " UNION ALL ".join(
+        f"SELECT v{j} AS vid FROM ({cliques})" for j in range(k)
+    )
+
+
 @pytest.mark.parametrize("metric,g", [
     (DG, _graph(7, n=18, m=50)),
     (DW, _graph(7, n=18, m=50)),
     # nonzero a, and isolated vertices whose w is a alone and deg 0
     (FD, _graph(7, n=30, m=20)),
-], ids=["DG", "DW", "FD-isolated"])
+    (TDS, _graph(7, n=18, m=50)),
+    (kclids(4), _graph(4, n=20, m=70)),
+], ids=["DG", "DW", "FD-isolated", "TDS", "kCLiDS-4"])
 def test_edge_state_table_oracle(spark, metric, g):
-    """The state table an edge-metric run starts from holds
+    """The state table a run starts from holds, for an edge metric,
     ``w = a + Σ incident c`` and ``deg`` = the degree, as the equivalent
-    SQL over the metric's own arrays computes them."""
-    ew = metric.build(g)
-    if metric is FD:
-        assert (g.degrees() == 0).any() and (ew.a > 0).all()
-    state = spark_engine._SparkState(spark, g, metric, lpo(0.1))
-    try:
-        assert_equivalent(
-            state.state,
+    SQL over the metric's own arrays computes them; for a clique metric,
+    ``a`` = the vertex weight and ``w = deg`` = the vertex's clique
+    count, as SQL joins over the edges count it."""
+    if metric.kind == "clique":
+        sql = f"""
+            SELECT v.vid AS vid, v.a AS a,
+                   CAST(COALESCE(r.cnt, 0) AS DOUBLE) AS w,
+                   0 AS stamp,
+                   COALESCE(r.cnt, 0) AS deg
+            FROM verts v
+            LEFT JOIN (
+                SELECT vid, COUNT(*) AS cnt
+                FROM ({_clique_roles_sql(metric.k)}) GROUP BY vid
+            ) r ON v.vid = r.vid
             """
+        a, c = g.vertex_weight, g.edge_weight
+    else:
+        sql = """
             SELECT v.vid AS vid, v.a AS a,
                    v.a + COALESCE(s.wsum, 0.0) AS w,
                    0 AS stamp,
@@ -502,9 +542,18 @@ def test_edge_state_table_oracle(spark, metric, g):
                     SELECT dst AS vid, c FROM edges
                 ) GROUP BY vid
             ) s ON v.vid = s.vid
-            """,
-            verts=pd.DataFrame({"vid": np.arange(g.n), "a": ew.a}),
-            edges=pd.DataFrame({"src": g.src, "dst": g.dst, "c": ew.c}),
+            """
+        ew = metric.build(g)
+        a, c = ew.a, ew.c
+        if metric is FD:
+            assert (g.degrees() == 0).any() and (a > 0).all()
+    state = spark_engine._SparkState(spark, g, metric, lpo(0.1))
+    try:
+        assert_equivalent(
+            state.state,
+            sql,
+            verts=pd.DataFrame({"vid": np.arange(g.n), "a": a}),
+            edges=pd.DataFrame({"src": g.src, "dst": g.dst, "c": c}),
         )
     finally:
         state.close()
