@@ -24,11 +24,11 @@ as state and only the peeled batch's contribution is subtracted.
   ships what Spark peels: the state table, and the checkpointed edge
   frame or clique list. So set-up runs no Spark job, ``g0``, ``lo()``
   and ``hi()`` come from the driver's arrays, and Spark lists no clique.
-- **Message table**, keyed by ``vid``, the vertex whose removal sends the
-  row: half-edges ``(vid, dst, c)`` for edge metrics, a narrow union of
-  both directions of the edge frame, neither shuffled nor cached; or
-  clique roles ``(vid, v0..v{k-1})`` for clique metrics, one per member
-  of each shipped clique, hash-partitioned by ``vid`` and cached.
+- **Message table**, read where it lies, neither shuffled nor cached:
+  for edge metrics the half-edges ``(vid, dst, c)``, keyed by ``vid``,
+  the vertex whose removal sends the row, a narrow union of both
+  directions of the edge frame; for clique metrics the shipped clique
+  list ``(v0..v{k-1})`` itself, one row per clique.
 - **Vertex-state table** ``(vid, a, w, stamp, deg)``: ``w`` is the
   current peeling weight, ``stamp`` the step that removed the vertex (0
   while alive), ``deg`` the live message rows that reach it: at set-up
@@ -41,10 +41,10 @@ The schedule loop is :func:`repro.core.schedules.peel`; ``_SparkState``
 gives it the six members it asks of a state. ``remove`` is one step: it
 stamps the alive vertices that meet the driver's condition with a
 ``when`` expression, subtracts from each surviving vertex what the
-just-stamped batch contributed (its half-edges, found by a broadcast
-join of the batch's vids, at most n of them, with the message table; or
-the cliques that die with it), and materialises the new table with one
-``localCheckpoint``, whose ``groupBy`` is an edge step's only shuffle.
+just-stamped batch contributed (its half-edges, or the cliques whose
+first stamp is this step's), found by probing the message table with a
+broadcast of at most n rows, and materialises the new table with one
+``localCheckpoint``, whose ``groupBy`` is the step's only shuffle.
 The step's scalars (|S|, Σa, Σw, min and max alive ``w``, the alive
 message rows, the step's weight updates, the batch size and its
 long-tail count) ride on that same job through ``DataFrame.observe``, so
@@ -165,16 +165,16 @@ def cliques_df(edges: DataFrame, k: int) -> DataFrame:
 
 
 def _messages(table: DataFrame, k: int | None = None) -> DataFrame:
-    """The message table, keyed by ``vid``, the vertex whose removal sends
-    the row: the half-edges ``(vid, dst, c)`` of an edge frame, or, given
-    ``k``, one role row ``(vid, v0..v{k-1})`` per member of each clique of
-    a clique frame."""
+    """Message rows keyed by ``vid``, the vertex whose removal sends the
+    row: the half-edges ``(vid, dst, c)`` of an edge frame, the engine's
+    message table; or, given ``k``, one role row ``(vid)`` per member of
+    each clique of a clique frame, which :func:`clique_weights_df`
+    absorbs."""
     if k is None:
         return table.select(F.col("src").alias("vid"), "dst", "c").unionAll(
             table.select(F.col("dst").alias("vid"), F.col("src").alias("dst"), "c")
         )
-    members = [f"v{j}" for j in range(k)]
-    return table.select(F.explode(F.array(*members)).alias("vid"), *members)
+    return table.select(F.explode(F.array(*(f"v{j}" for j in range(k)))).alias("vid"))
 
 
 def _initial(verts: DataFrame, msgs: DataFrame) -> DataFrame:
@@ -312,7 +312,7 @@ class _SparkState:
                  schedule: Schedule):
         self.k, self.kind, self.graph = metric.k, metric.kind, graph
         self.select = selector(schedule)
-        self.state = self.local = self.handoff = self.msgs = None
+        self.state = self.local = self.handoff = None
         self.inputs = []
         try:
             self._set_up(spark, metric)
@@ -324,8 +324,8 @@ class _SparkState:
     def _set_up(self, spark: SparkSession, metric: Metric) -> None:
         """The local engine's set-up, shipped: the state table, and the
         edge frame or the clique list with the message table over it, all
-        lazy. The clique roles are hash-partitioned by ``vid`` and cached,
-        so each step joins them where they lie."""
+        lazy. Nothing is repartitioned or cached: each step probes the
+        message table where it lies."""
         g = self.graph
         base = self.base = make_state(g, metric)
         if self.kind == "edge":
@@ -342,12 +342,7 @@ class _SparkState:
         ).localCheckpoint(eager=False)
         table = _frame(spark, **cols).localCheckpoint(eager=False)
         self.inputs = [table]
-        if self.kind == "edge":
-            self.msgs = _messages(table)
-        else:
-            # AQE cannot coalesce a cached side, so size it to the platform
-            parts = spark.sparkContext.defaultParallelism
-            self.msgs = _messages(table, self.k).repartition(parts, "vid").cache()
+        self.msgs = _messages(table) if self.kind == "edge" else table
         self.rows0 = int(deg.sum())
         self.f = base.f
         self.st = {"n": g.n, "rows": self.rows0, "deg": self.rows0}
@@ -407,25 +402,26 @@ class _SparkState:
 
     def _delta(self, state: DataFrame, step: int) -> DataFrame:
         """``(vid, d, deg)`` rows that the batch stamped ``step`` takes away:
-        one per half-edge of the batch, or per role of each clique that
-        dies with it. The batch's vids are broadcast: the message table is
-        probed where it lies, so the step's one shuffle is the absorb's."""
+        one per half-edge of the batch, or per member of each clique that
+        dies with it. The message table is scanned where it lies, probed by
+        a broadcast of the batch's vids or of every stamped ``(vid, stamp)``
+        (one exchange for a clique step's k joins): one shuffle, the absorb's."""
         if self.kind == "edge":
             batch = state.filter(F.col("stamp") == step).select("vid")
             rows = self.msgs.join(F.broadcast(batch), "vid").select(
                 F.col("dst").alias("vid"), (-F.col("c")).alias("d")
             )
         else:
-            # a clique dies in the step that stamps its first member
+            # a clique dies in the step that stamps its first member;
+            # least() skips the alive members, whose stamp joins as null
+            stamped = F.broadcast(state.filter(F.col("stamp") > 0))
             members = [f"v{j}" for j in range(self.k)]
-            stamped = state.filter(F.col("stamp") > 0).select("vid", "stamp")
-            dead = (
-                self.msgs.join(stamped, "vid")
-                .groupBy(*members)
-                .agg(F.min("stamp").alias("first"))
-                .filter(F.col("first") == step)
-            )
-            rows = dead.select(
+            dead = self.msgs
+            for j, v in enumerate(members):
+                s = stamped.alias(f"s{j}")
+                dead = dead.join(s, F.col(v) == F.col(f"s{j}.vid"), "left")
+            first = F.least(*(F.col(f"s{j}.stamp") for j in range(self.k)))
+            rows = dead.filter(first == step).select(
                 F.explode(F.array(*members)).alias("vid"), F.lit(-1.0).alias("d")
             )
         return rows.withColumn("deg", F.lit(-1))
@@ -461,10 +457,8 @@ class _SparkState:
         return stamp
 
     def close(self) -> None:
-        """Free the cached message table, the checkpointed inputs and the
-        checkpointed state."""
-        if self.msgs is not None:
-            self.msgs.unpersist()
+        """Free the checkpointed inputs, which the message table reads, and
+        the checkpointed state."""
         for df in self.inputs:
             _free(df)
         self.inputs = []

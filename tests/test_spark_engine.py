@@ -236,9 +236,9 @@ def _persisted(spark):
 
 @pytest.mark.parametrize("case", ["handoff", "all-on-spark", "raises"])
 def test_peel_spark_leaves_nothing_cached(spark, monkeypatch, case):
-    """The message table (for TDS the cached clique roles), the shipped
-    edge frame or clique list, and every checkpointed state table are
-    freed, whether the run hands off, stays on Spark, or fails mid-run."""
+    """The shipped edge frame or clique list, which the message table
+    reads, and every checkpointed state table are freed, whether the run
+    hands off, stays on Spark, or fails mid-run."""
     g = _graph(1)
     if case != "handoff":
         monkeypatch.setattr(spark_engine, "_hand_off", _never)
@@ -262,8 +262,9 @@ def test_peel_spark_leaves_nothing_cached(spark, monkeypatch, case):
 # ---- Spark job budget ---------------------------------------------------
 
 # measured: set-up runs no job, and a run collects once, at the handoff
-# or at the end; an edge step under AQE runs three: the batch's
-# broadcast, the absorb's map side and the checkpoint
+# or at the end; a step under AQE runs three, for either metric kind:
+# the broadcast (of the batch, or of the stamps), the absorb's map side
+# and the checkpoint
 SETUP_JOBS = 1
 STEP_JOBS = 3
 
@@ -282,17 +283,21 @@ def _count_jobs(spark, fn):
     return res, len(sc.statusTracker().getJobIdsForGroup(group))
 
 
-def test_spark_job_budget(spark, monkeypatch):
+@pytest.mark.parametrize("metric,g", [
+    (DW, _graph(1)), (TDS, _graph(1)),
+    # 8 4-cliques: an lpo(0.1) run trims, and hands off after step 3
+    (kclids(4), _graph(6, n=30, m=120)),
+], ids=["DW", "TDS", "kCLiDS-4"])
+def test_spark_job_budget(spark, monkeypatch, metric, g):
     """Measured counts: a run costs exactly its Spark steps' jobs and one
     collect, whether it hands off (after step ``handoff``) or ends on
-    Spark."""
-    g = _graph(1)
-    res, jobs = _count_jobs(spark, lambda: peel_spark(spark, g, DW, lpo(0.1)))
+    Spark, for edge and clique metrics alike."""
+    res, jobs = _count_jobs(spark, lambda: peel_spark(spark, g, metric, lpo(0.1)))
     steps = res.n_rounds + res.n_trim_rounds
     assert res.n_trim_rounds > 0 and 0 < res.worklog.handoff < steps
     assert jobs == SETUP_JOBS + STEP_JOBS * res.worklog.handoff
     monkeypatch.setattr(spark_engine, "_hand_off", _never)
-    res, jobs = _count_jobs(spark, lambda: peel_spark(spark, g, DW, lpo(0.1)))
+    res, jobs = _count_jobs(spark, lambda: peel_spark(spark, g, metric, lpo(0.1)))
     assert jobs == SETUP_JOBS + STEP_JOBS * (res.n_rounds + res.n_trim_rounds)
 
 
@@ -328,9 +333,14 @@ def test_set_up_runs_no_job(spark, metric):
     assert jobs == 0
 
 
-def test_edge_step_joins_the_batch_by_broadcast(spark, monkeypatch):
-    """Every Spark step of an edge metric broadcasts its batch into the
-    message table: no sort-merge join, so the absorb is the one shuffle."""
+@pytest.mark.parametrize("metric,g,joins", [
+    (DW, _graph(1), 1), (TDS, _graph(1), 3), (kclids(4), _graph(4, n=20, m=70), 4),
+], ids=["DW", "TDS", "kCLiDS-4"])
+def test_step_joins_by_broadcast(spark, monkeypatch, metric, g, joins):
+    """Every Spark step probes the message table with a broadcast: the
+    batch's vids for an edge metric, the stamps once per clique member
+    for a clique metric. No sort-merge join, so the absorb's ``groupBy``
+    is the step's one shuffle."""
     plans, checkpoint = [], spark_engine._checkpoint
 
     def spy(table, step, tail):
@@ -339,10 +349,12 @@ def test_edge_step_joins_the_batch_by_broadcast(spark, monkeypatch):
 
     monkeypatch.setattr(spark_engine, "_checkpoint", spy)
     monkeypatch.setattr(spark_engine, "_hand_off", _never)
-    res = peel_spark(spark, _graph(1), DW, lpo(0.1))
+    res = peel_spark(spark, g, metric, lpo(0.1))
     assert len(plans) == res.n_rounds + res.n_trim_rounds
     for plan in plans:
-        assert "BroadcastHashJoin" in plan and "SortMergeJoin" not in plan
+        assert plan.count("BroadcastHashJoin") == joins
+        assert "SortMergeJoin" not in plan
+        assert plan.count("Exchange hashpartitioning") == 1
 
 
 def _session_conf(spark, conf):
@@ -376,17 +388,20 @@ def one_partition_no_aqe(spark):
     })
 
 
-@pytest.mark.parametrize("metric,sched", [(DW, lpo(0.1)), (FD, gpo(0.1))],
-                         ids=["DW-lpo", "FD-gpo"])
+@pytest.mark.parametrize("metric,sched,g", [
+    (DW, lpo(0.1), _graph(1)),
+    (FD, gpo(0.1), _graph(1)),
+    (TDS, gpo(0.1), _graph(1)),
+    (kclids(4), lpo(0.1), _graph(4, n=20, m=70)),  # has 4-cliques
+], ids=["DW-lpo", "FD-gpo", "TDS-gpo", "kCLiDS-4-lpo"])
 @pytest.mark.parametrize("all_on_spark", [False, True],
                          ids=["handoff", "all-on-spark"])
 def test_spark_matches_local_other_session(one_partition_no_aqe, monkeypatch,
-                                           metric, sched, all_on_spark):
+                                           metric, sched, g, all_on_spark):
     """Spark ≡ local does not rest on the session's shuffle settings."""
     spark = one_partition_no_aqe
     if all_on_spark:
         monkeypatch.setattr(spark_engine, "_hand_off", _never)
-    g = _graph(1)
     rl = peel_local(g, metric, sched)
     rs = peel_spark(spark, g, metric, sched)
     assert np.array_equal(rs.peel_stamp, rl.peel_stamp)
