@@ -5,9 +5,8 @@ bench records what the actual distributed dataflow costs on the local
 Spark session (gfg analogue at reduced scale). A run is the engine's
 set-up (no Spark job for DW: the driver ships the initial state), then
 one checkpoint job per Spark step until the alive message rows fall to
-a quarter of the set-up rows (at most 2^22), then the rest of the run
-on the driver's local engine. The local reference
-engine is benchmarked alongside for the dataflow-overhead ratio,
+a quarter of the set-up rows, then the rest of the run on the driver's
+local engine. The local reference engine is benchmarked alongside for the dataflow-overhead ratio,
 recorded in extra_info.
 """
 import time

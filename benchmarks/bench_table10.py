@@ -5,7 +5,7 @@ from repro.experiments.tables import table10
 
 def test_bench_table10(benchmark):
     rows = benchmark.pedantic(lambda: table10(scale=1.0), rounds=1, iterations=1)
-    write_table("table10", rows, "Table 10 — hardware platforms (soc)")
+    write_table("table10", rows)
     by = {r["System"]: r for r in rows}
 
     def speedup(system, metric):

@@ -11,7 +11,7 @@ def test_bench_table3(benchmark):
     rows = benchmark.pedantic(
         lambda: table3(dataset="la", scale=1.0), rounds=1, iterations=1
     )
-    write_table("table3", rows, "Table 3 — GPO/LPO impact on peeling rounds (la)")
+    write_table("table3", rows)
     by = {r["Metric"]: r for r in rows}
     # paper-shape assertions: DW longest tail; LPO large reductions
     assert by["DW"]["Rounds without GPO"] > by["DG"]["Rounds without GPO"]

@@ -5,5 +5,5 @@ from repro.experiments.tables import table4
 
 def test_bench_table4(benchmark):
     rows = benchmark.pedantic(lambda: table4(scale=1.0), rounds=1, iterations=1)
-    write_table("table4", rows, "Table 4 — dataset statistics (synth vs paper)")
+    write_table("table4", rows)
     assert len(rows) == 8

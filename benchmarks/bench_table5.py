@@ -7,7 +7,7 @@ from repro.simmachine import TIME_LIMIT_S
 
 def test_bench_table5(benchmark):
     rows = benchmark.pedantic(lambda: table5(scale=1.0), rounds=1, iterations=1)
-    write_table("table5", rows, "Table 5 — runtime (s), DG/DW/FD, 128 threads")
+    write_table("table5", rows)
     # paper shape: Dupin is the fastest system on every dataset/metric
     for ds in {r["Dataset"] for r in rows}:
         sub = {r["Method"]: r for r in rows if r["Dataset"] == ds}

@@ -5,7 +5,7 @@ from repro.experiments.tables import CLIQUE_METRICS, table6
 
 def test_bench_table6(benchmark):
     rows = benchmark.pedantic(lambda: table6(scale=0.25), rounds=1, iterations=1)
-    write_table("table6", rows, "Table 6 — runtime (s), TDS/kCLiDS")
+    write_table("table6", rows)
     for ds in {r["Dataset"] for r in rows}:
         sub = {r["Method"]: r for r in rows if r["Dataset"] == ds}
         for m in CLIQUE_METRICS:

@@ -5,7 +5,7 @@ from repro.experiments.tables import CLIQUE_METRICS, table8
 
 def test_bench_table8(benchmark):
     rows = benchmark.pedantic(lambda: table8(scale=0.25), rounds=1, iterations=1)
-    write_table("table8", rows, "Table 8 — density, TDS/kCLiDS")
+    write_table("table8", rows)
     for ds in {r["Dataset"] for r in rows}:
         sub = {r["Method"]: r for r in rows if r["Dataset"] == ds}
         for m in CLIQUE_METRICS:

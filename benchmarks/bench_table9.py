@@ -10,7 +10,7 @@ def _pct(row, m):
 
 def test_bench_table9(benchmark):
     rows = benchmark.pedantic(table9, rounds=1, iterations=1)
-    write_table("table9", rows, "Table 9 — latency vs prevention ratio")
+    write_table("table9", rows)
     by = {r["Method"]: r for r in rows}
     # headline: Dupin prevents the most fraud under the FD production metric
     assert _pct(by["Dupin"], "FD") > 80.0

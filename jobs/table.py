@@ -47,7 +47,7 @@ def main(name: str) -> None:
     )
     try:
         rows = harness()
-        md = write_table(name, rows, f"Table {name[len('table'):]}")
+        md = write_table(name, rows)
         print(md, file=sys.stderr)
         rows_to_df(spark, rows).show(100, truncate=False)
     finally:

@@ -10,6 +10,8 @@ large round count makes it slower than GBBS but far faster than FWA
 """
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.graph import LocalGraph
 from repro.core.local_engine import peel_local
 from repro.core.metrics import Metric
@@ -20,4 +22,9 @@ def alenex_run(graph: LocalGraph, metric: Metric, eps: float = 0.01) -> PeelResu
     """Near-optimal parallel peeling for edge metrics."""
     if metric.kind != "edge":
         raise ValueError("ALENEX supports DG/DW/FD (Table 2)")
-    return peel_local(graph, metric, alenex(eps))
+    res = peel_local(graph, metric, alenex(eps))
+    sort = int(graph.n * np.log2(max(graph.n, 2)) + graph.m)  # re-sort + edge pass
+    for r in res.worklog.rounds:
+        if r.phase == "peel":
+            r.scanned += sort
+    return res

@@ -13,10 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import _Scan, make_state
+from repro.core.local_engine import _Scan, make_state, start_log
 from repro.core.metrics import Metric
 from repro.core.schedules import TOL, PeelResult
-from repro.core.worklog import WorkLog
 
 N_LEVELS = 32
 
@@ -25,9 +24,7 @@ def pkmc_run(graph: LocalGraph, metric: Metric, n_levels: int = N_LEVELS) -> Pee
     """λ-grid core sweep; returns the densest core-boundary snapshot."""
     state = make_state(graph, metric)
     sel = _Scan(state, np.zeros(graph.n, dtype=np.int64))
-    log = WorkLog(n=graph.n, m=graph.m)
-    if metric.kind == "clique":
-        log.init_work = float(state.cliques.size)
+    log = start_log(graph, state)
     step = 0
     log.g0 = best_g = sel.g
     best_step = 0

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.graph import LocalGraph
 from repro.core.metrics import Metric
-from repro.core.schedules import TOL, PeelResult, Schedule, peel
+from repro.core.schedules import PeelResult, Schedule, peel
 from repro.core.worklog import WorkLog
 
 
@@ -133,6 +133,13 @@ def make_state(graph: LocalGraph, metric: Metric):
     return EdgeState(a, w, float(a.sum() + c.sum()), c, graph.csr())
 
 
+def start_log(graph: LocalGraph, state) -> WorkLog:
+    """The empty trace of a run from :func:`make_state`'s ``state``: a
+    clique listing (~ k·|E|·α(G)^(k-2)) is charged as its size."""
+    listed = state.cliques.size if isinstance(state, CliqueState) else 0
+    return WorkLog(n=graph.n, m=graph.m, init_work=float(listed))
+
+
 class _Scan:
     """Threshold selection: each step masks every alive vertex at once.
     ``stamp`` holds the step that removed each vertex, 0 while alive."""
@@ -153,14 +160,12 @@ class _Scan:
     def hi(self) -> float:
         return float(self.state.w[self.stamp == 0].max())
 
-    def remove(self, step, le=None, lt=None, vid=None, tail=math.inf):
+    def remove(self, step, le=None, vid=None, tail=math.inf):
         w = self.state.w
         if vid is not None:
             batch = np.array([vid], dtype=np.int64)
-        elif le is not None:
-            batch = np.flatnonzero((self.stamp == 0) & (w <= le))
         else:
-            batch = np.flatnonzero((self.stamp == 0) & (w < lt))
+            batch = np.flatnonzero((self.stamp == 0) & (w <= le))
         return self._drop(batch, step, int((w[batch] > tail).sum()))
 
     def _drop(self, batch: np.ndarray, step: int, n_tail: int):
@@ -194,15 +199,15 @@ class _Heap(_Scan):
     step pushes only the touched vertices that are, or fall, under θ.
     When no valid entry is left, one vectorised ``np.partition`` over the
     alive weights above θ raises θ to the next K smallest of them
-    (:func:`_frontier`) and pushes those vertices; a ``le``/``lt`` bound
-    above θ raises θ to the bound first. This is the lazy bucketing of
+    (:func:`_frontier`) and pushes those vertices; a ``le`` bound above θ
+    raises θ to the bound first. This is the lazy bucketing of
     Julienne (Dhulipala, Blelloch & Shun, SPAA 2017): only the low
     buckets are materialised, so a bucket round costs its bucket, not a
     full vertex scan, and the heap never holds an entry per vertex.
 
-    An entry is stale once its vertex is gone or its weight moved by more
-    than TOL; a popped vertex is stamped at once, so its other entries
-    read as stale. Duplicate entries are therefore expected: a vertex
+    An entry is stale once its vertex is gone or its weight is no longer
+    the vertex's weight; a popped vertex is stamped at once, so its other
+    entries read as stale. Duplicate entries are therefore expected: a vertex
     touched twice in one step (two removed neighbours, or two dying
     cliques) is pushed twice, and the entry that is not popped is
     discarded by ``_top``. Removal never raises a weight (``c >= 0``, and
@@ -240,7 +245,7 @@ class _Heap(_Scan):
         heap, stamp, w = self.heap, self.stamp, self.state.w
         while heap:
             wv, v = heap[0]
-            if stamp[v] != 0 or abs(wv - w[v]) > TOL:
+            if stamp[v] != 0 or wv != w[v]:
                 heapq.heappop(heap)
                 continue
             return wv, v
@@ -253,17 +258,14 @@ class _Heap(_Scan):
             top = self._top()
         return top
 
-    def remove(self, step, le=None, lt=None, vid=None, tail=math.inf):
+    def remove(self, step, le=None, vid=None, tail=math.inf):
         if vid is not None:
             return super().remove(step, vid=vid, tail=tail)
-        bound = le if lt is None else lt
-        if bound > self.theta:
-            self._grow(bound)
+        if le > self.theta:
+            self._grow(le)
         batch: list[int] = []
         n_tail = 0
-        while (top := self._top()) is not None and (
-            top[0] <= le if lt is None else top[0] < lt
-        ):
+        while (top := self._top()) is not None and top[0] <= le:
             heapq.heappop(self.heap)
             self.stamp[top[1]] = step  # its other entries are now stale
             batch.append(top[1])
@@ -290,9 +292,5 @@ def peel_local(graph: LocalGraph, metric: Metric, schedule: Schedule) -> PeelRes
     trim counts, round sets) are views of its WorkLog trace.
     """
     state = make_state(graph, metric)
-    log = WorkLog(n=graph.n, m=graph.m)
-    if metric.kind == "clique":
-        # enumeration cost ~ k·|E|·α(G)^(k-2); charge the materialized size
-        log.init_work = float(state.cliques.size)
     sel = selector(schedule)(state, np.zeros(graph.n, dtype=np.int64))
-    return peel(sel, schedule, metric.k, log)
+    return peel(sel, schedule, metric.k, start_log(graph, state))

@@ -10,8 +10,8 @@ audited loop, :func:`peel`, behind all comparisons on both engines:
 - ``gpo(eps)``    — Algorithm 3: + global threshold ``τ_max``.
 - ``lpo(eps)``    — Algorithm 4: + local trim loop (``w_u < g(S)``).
 - ``bucket``      — GBBS/PBBS-style: peel the minimum-weight bucket.
-- ``alenex(eps)`` — near-optimal parallel peeling: tiny ε, extra per-round
-  ordering work (see baselines.alenex).
+- ``alenex(eps)`` — near-optimal parallel peeling at a tiny ε (its extra
+  per-round ordering work is priced by baselines.alenex after the run).
 
 :func:`peel` takes every decision: τ and τ_max, the bucket threshold,
 the single-vertex pick, the long-tail count, the LPO trim loop and its
@@ -23,15 +23,16 @@ it. An engine only supplies a peeling state with six members:
 
 - ``n`` — the number of alive vertices; ``g`` — the density of the alive set;
 - ``lo()`` — the minimum alive ``(w, vid)``; ``hi()`` — the maximum alive ``w``;
-- ``remove(step, le=|lt=|vid=, tail=) -> (size, n_tail, updates)`` —
-  stamp ``step`` on the alive vertices with ``w <= le``, with ``w < lt``,
-  or on vertex ``vid``; remove them; report how many were stamped, how
-  many of those had ``w > tail``, and the weight updates applied;
+- ``remove(step, le=|vid=, tail=) -> (size, n_tail, updates)`` —
+  stamp ``step`` on the alive vertices with ``w <= le``, or on vertex
+  ``vid``; remove them; report how many were stamped, how many of those
+  had ``w > tail``, and the weight updates applied;
 - ``stamps()`` — the step that removed each vertex (0 while alive).
 
 Numerical convention: thresholds use ``w <= τ + TOL`` (Algorithms 2/3) and
 the LPO trim uses strict ``w < τ₂ - TOL`` (Algorithm 4), with
-``TOL = 1e-9``, so both engines agree bit-for-bit on the peel sets.
+``TOL = 1e-9``, so both engines agree bit-for-bit on the peel sets. The
+trim passes ``le = nextafter(τ₂ - TOL, -inf)``, which selects that set.
 """
 from __future__ import annotations
 
@@ -52,7 +53,6 @@ class Schedule:
     eps: float = 0.0
     gpo: bool = False
     lpo: bool = False
-    round_sort: bool = False  # charge an extra n·log2(n) ordering per round
 
 
 def sequential() -> Schedule:
@@ -76,7 +76,7 @@ def bucket() -> Schedule:
 
 
 def alenex(eps: float = 0.01) -> Schedule:
-    return Schedule("alenex", "threshold", eps=eps, round_sort=True)
+    return Schedule("alenex", "threshold", eps=eps)
 
 
 def bucket_gpo(eps: float = 0.1) -> Schedule:
@@ -165,9 +165,6 @@ def peel(state, schedule: Schedule, k: int, log: WorkLog) -> PeelResult:
             raise RuntimeError(f"{phase} step {s} removed no vertex")
         if not threshold:
             scanned = size  # a bucket pop touches only its batch
-        elif schedule.round_sort and phase == "peel":
-            # ALENEX-style machinery: full re-sort + edge pass per round
-            scanned += int(log.n * np.log2(max(log.n, 2)) + log.m)
         log.add(scanned, updates, size, phase=phase, sequential=seq,
                 bucket=schedule.mode == "bucket", g=state.g, tail=n_tail)
 
@@ -191,7 +188,7 @@ def peel(state, schedule: Schedule, k: int, log: WorkLog) -> PeelResult:
             tau2 = max(tau_max, state.g)
             if state.lo()[0] >= tau2 - TOL or state.hi() < tau2 - TOL:
                 break
-            step("trim", lt=tau2 - TOL)
+            step("trim", le=math.nextafter(tau2 - TOL, -math.inf))
 
     # the best step: the first whose g beats the best earlier g by TOL
     best_step, best_g = 0, log.g0

@@ -38,13 +38,14 @@ as state and only the peeled batch's contribution is subtracted.
   for cliques, its self-join listing (:func:`cliques_df`).
 
 The schedule loop is :func:`repro.core.schedules.peel`; ``_SparkState``
-gives it the six members it asks of a state. ``remove`` is one step: it
-stamps the alive vertices that meet the driver's condition with a
-``when`` expression, subtracts from each surviving vertex what the
-just-stamped batch contributed (its half-edges, or the cliques whose
-first stamp is this step's), found by probing the message table with a
-broadcast of at most n rows, and materialises the new table with one
-``localCheckpoint``, whose ``groupBy`` is the step's only shuffle.
+gives it the six members it asks of a state. ``remove(step, le=|vid=,
+tail=)`` is one step: it stamps the alive vertices with ``w <= le``, or
+vertex ``vid``, with a ``when`` expression, subtracts from each
+surviving vertex what the just-stamped batch contributed (its
+half-edges, or the cliques whose first stamp is this step's), found by
+probing the message table with a broadcast of at most n rows, and
+materialises the new table with one ``localCheckpoint``, whose
+``groupBy`` is the step's only shuffle.
 The step's scalars (|S|, Σa, Σw, min and max alive ``w``, the alive
 message rows, the step's weight updates, the batch size and its
 long-tail count) ride on that same job through ``DataFrame.observe``, so
@@ -58,16 +59,17 @@ filtering method of Lattanzi, Moseley, Suri & Vassilvitskii (SPAA 2011),
 the run shrinks the graph on Spark until it fits the driver, then
 finishes there: once the alive message rows fall to a quarter of the
 set-up rows (:func:`_hand_off`, a fixed rule, never met at set-up by a
-graph with messages), the state collects ``(vid, w, stamp)`` as Arrow
-columns, one job, and continues the *same*
+graph with messages), or a step leaves no vertex alive, the state
+collects ``(vid, w, stamp)`` as Arrow columns, one job, and continues
+the *same*
 :func:`~repro.core.schedules.peel` run on a local ``_Scan`` or ``_Heap``
 started from those stamps, in the graph's own vids. The tail carries on
 the set-up's ``EdgeState`` or ``CliqueState``, seeded with Spark's ``w``
 and ``f``; a clique state keeps the cliques none of whose members is
 stamped, since a clique dies with its first stamped member. Steps carry
-on, and ``WorkLog.handoff`` records the last Spark step (``None`` if the
-run ended on Spark). ``stamps()`` collects the stamps once, at the end
-or at the handoff.
+on, and ``WorkLog.handoff`` records the last Spark step. So every run
+leaves Spark through that one collect, and ``stamps()`` reads the local
+state's stamps.
 
 The engine accepts the same :class:`~repro.core.schedules.Schedule`
 objects as the local engine for the parallel modes (``threshold`` and
@@ -89,10 +91,9 @@ from pyspark.sql import DataFrame, Observation, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.graph import LocalGraph
-from repro.core.local_engine import make_state, selector
+from repro.core.local_engine import make_state, selector, start_log
 from repro.core.metrics import Metric
 from repro.core.schedules import PeelResult, Schedule, peel
-from repro.core.worklog import WorkLog
 
 
 # Elements of each column per row of the Arrow table _frame hands to Spark
@@ -292,20 +293,21 @@ def _hand_off(rows: int, rows0: int) -> bool:
 
 
 class _SparkState:
-    """The driver's peeling state over the vertex-state table; every
-    member but :meth:`remove` and :meth:`stamps` reads the scalars
-    observed on the last checkpoint, so it runs no Spark job.
+    """The driver's peeling state over the vertex-state table. Only
+    ``remove(step, le=|vid=, tail=)`` runs Spark jobs; ``n``, ``g``,
+    ``lo()`` and ``hi()`` read the scalars observed on the last
+    checkpoint.
 
     Set-up runs no Spark job: the driver builds the local engine's state
     (``base``, an ``EdgeState`` or ``CliqueState``) and ships its
     ``(vid, a, w, stamp=0, deg)`` as the state table, with the scalars
     read off the same arrays (:meth:`_set_up`).
 
-    Once :func:`_hand_off` holds after a checkpoint, the state hands the
-    rest of the run to a local ``_Scan`` or ``_Heap`` over ``base``,
-    started from the collected stamps (:meth:`_finish_locally`); every
-    member then delegates to that ``local`` state, in the graph's own
-    vids.
+    Once :func:`_hand_off` holds after a checkpoint, or no vertex is left
+    alive, the state hands the rest of the run to a local ``_Scan`` or
+    ``_Heap`` over ``base``, started from the collected stamps
+    (:meth:`_finish_locally`); every member then delegates to that
+    ``local`` state, in the graph's own vids, and ``stamps()`` reads it.
     """
 
     def __init__(self, spark: SparkSession, graph: LocalGraph, metric: Metric,
@@ -376,18 +378,14 @@ class _SparkState:
     def hi(self) -> float:
         return self.local.hi() if self.local else self.st["hi"]
 
-    def remove(self, step, le=None, lt=None, vid=None, tail=math.inf):
-        """One step: stamp the alive vertices meeting the condition,
-        subtract their contribution, checkpoint, observe; the weight
-        updates are the delta rows, as the local engine counts them."""
+    def remove(self, step, le=None, vid=None, tail=math.inf):
+        """One step: stamp the alive vertices with ``w <= le``, or vertex
+        ``vid``, subtract their contribution, checkpoint, observe; the
+        weight updates are the delta rows, as the local engine counts
+        them."""
         if self.local:
-            return self.local.remove(step, le=le, lt=lt, vid=vid, tail=tail)
-        if vid is not None:
-            cond = F.col("vid") == vid
-        elif le is not None:
-            cond = F.col("w") <= le
-        else:
-            cond = F.col("w") < lt
+            return self.local.remove(step, le=le, vid=vid, tail=tail)
+        cond = F.col("vid") == vid if vid is not None else F.col("w") <= le
         state = self.state.withColumn(
             "stamp",
             F.when((F.col("stamp") == 0) & cond, F.lit(step).cast("long"))
@@ -427,7 +425,8 @@ class _SparkState:
         return rows.withColumn("deg", F.lit(-1))
 
     def _finish_locally(self, step: int) -> None:
-        """Hand the run to the local engine if :func:`_hand_off` holds.
+        """Hand the run to the local engine if :func:`_hand_off` holds or
+        no vertex is left alive.
 
         Collects ``(vid, w, stamp)`` into arrays over the graph's own vids
         with one job and seeds ``base`` with Spark's ``w`` and ``f``, so
@@ -436,7 +435,7 @@ class _SparkState:
         first member, so the live cliques are those with no stamped
         member. The Spark tables are freed.
         """
-        if not self.st["n"] or not _hand_off(self.st["rows"], self.rows0):
+        if self.st["n"] and not _hand_off(self.st["rows"], self.rows0):
             return
         vid, wv, stp = _arrays(self.state.select("vid", "w", "stamp"))
         tail = self.base
@@ -449,12 +448,7 @@ class _SparkState:
         self.close()
 
     def stamps(self) -> np.ndarray:
-        if self.local:
-            return self.local.stamps()
-        vid, stp = _arrays(self.state.select("vid", "stamp"))
-        stamp = np.zeros(self.graph.n, dtype=np.int64)
-        stamp[vid] = stp
-        return stamp
+        return self.local.stamps()  # a finished run has left Spark
 
     def close(self) -> None:
         """Free the checkpointed inputs, which the message table reads, and
@@ -485,7 +479,7 @@ def peel_spark(
         )
     state = _SparkState(spark, graph, metric, schedule)
     try:
-        res = peel(state, schedule, metric.k, WorkLog(n=graph.n, m=graph.m))
+        res = peel(state, schedule, metric.k, start_log(graph, state.base))
     finally:
         state.close()
     res.worklog.handoff = state.handoff

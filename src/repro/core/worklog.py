@@ -44,9 +44,7 @@ class WorkLog:
     init_work: float = 0.0  # parallelizable setup (e.g. clique enumeration)
     init_sequential: float = 0.0  # span-bound setup
     g0: float = 0.0  # density of the whole graph, before the first step
-    # the last step run on Spark: 0 for a local run, None for a Spark run
-    # that never handed its tail to the local engine
-    handoff: int | None = 0
+    handoff: int = 0  # the last step run on Spark: 0 for a local run
     rounds: list[RoundRecord] = field(default_factory=list)
 
     def add(self, scanned: int, updates: int, peeled: int, phase: str = "peel",

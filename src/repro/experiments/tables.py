@@ -91,6 +91,19 @@ def _spade_ops(sres, graph, metric, paper_e: int) -> float:
             + sres.result.worklog.init_sequential * e_ratio**init_exp)
 
 
+RUNNERS = {  # every compared system but Spade: a run priced by its WorkLog
+    "Dupin": lambda g, m: peel_local(g, m, dupin(0.1)),
+    "DupinGPO": lambda g, m: peel_local(g, m, gpo(0.1)),
+    "DupinLPO": lambda g, m: peel_local(g, m, lpo(0.1)),
+    "GBBS": gbbs_run,
+    "PBBS": pbbs_run,
+    "kCLIST": kclist_run,
+    "PKMC": pkmc_run,
+    "FWA": fwa_run,
+    "ALENEX": alenex_run,
+}
+
+
 @lru_cache(maxsize=1024)
 def run_system(
     dataset: str, scale: float, metric_name: str, system: str
@@ -107,26 +120,7 @@ def run_system(
             sim_s=ops / X5650.seq_rate,
             sim_epyc_s=ops / EPYC_7742.seq_rate,
         )
-    if system == "Dupin":
-        res = peel_local(graph, metric, dupin(0.1))
-    elif system == "DupinGPO":
-        res = peel_local(graph, metric, gpo(0.1))
-    elif system == "DupinLPO":
-        res = peel_local(graph, metric, lpo(0.1))
-    elif system == "GBBS":
-        res = gbbs_run(graph, metric)
-    elif system == "PBBS":
-        res = pbbs_run(graph, metric)
-    elif system == "kCLIST":
-        res = kclist_run(graph, metric)
-    elif system == "PKMC":
-        res = pkmc_run(graph, metric)
-    elif system == "FWA":
-        res = fwa_run(graph, metric)
-    elif system == "ALENEX":
-        res = alenex_run(graph, metric)
-    else:
-        raise KeyError(system)
+    res = RUNNERS[system](graph, metric)  # KeyError for an unknown system
 
     def sim(profile: MachineProfile) -> float:
         return _simulate_paper_scale(

@@ -1,4 +1,6 @@
 """Tests for the GBBS / PKMC / FWA / ALENEX / kCLIST / PBBS stand-ins."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,9 @@ from repro.baselines import (
     pkmc_run,
     spade_run,
 )
-from repro.core import DG, DW, FD, TDS, from_edges, kclids, peel_local, sequential
+from repro.core import (
+    DG, DW, FD, TDS, alenex, from_edges, kclids, peel_local, sequential,
+)
 from repro.core.brute import density_of, optimal_density
 from repro.graphgen import chung_lu_with_communities
 
@@ -155,6 +159,22 @@ def test_alenex_charges_sort_work(graph):
     n_logn = graph.n * np.log2(graph.n)
     for r in al.worklog.rounds:
         assert r.scanned >= n_logn
+
+
+@pytest.mark.parametrize("metric", [DG, DW, FD], ids=lambda m: m.name)
+def test_alenex_is_its_schedule_plus_the_sort_charge(graph, metric):
+    """ALENEX peels as the ``alenex`` schedule does and prices its
+    ordering after the run: every peel record scans ``n·log2 n + m``
+    more, and nothing else differs."""
+    al = alenex_run(graph, metric)
+    ref = peel_local(graph, metric, alenex())
+    sort = int(graph.n * np.log2(max(graph.n, 2)) + graph.m)
+    assert np.array_equal(al.peel_stamp, ref.peel_stamp)
+    assert al.best_density == ref.best_density
+    assert al.worklog.rounds == [
+        dataclasses.replace(r, scanned=r.scanned + sort) if r.phase == "peel" else r
+        for r in ref.worklog.rounds
+    ]
 
 
 # ---- kCLIST / PBBS ------------------------------------------------------

@@ -1,4 +1,6 @@
 """Tests for the spark-submit job wrappers."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,19 @@ def test_table2_job_run(spark):
 def test_table_job_rejects_unknown_name(spark):
     with pytest.raises(ValueError, match="table1"):
         table.run(spark, "table1")
+
+
+@pytest.mark.parametrize("name", table.NAMES)
+def test_table_job_writes_the_committed_title(tmp_path, monkeypatch, name):
+    """The job's ``write_table(name, rows)`` heads ``results/<name>.md``
+    as the committed file is headed, so running the job after the
+    benchmark that wrote the file changes no title."""
+    import repro.experiments.io as io
+
+    committed = Path(io.RESULTS_DIR) / f"{name}.md"
+    monkeypatch.setattr(io, "RESULTS_DIR", str(tmp_path))
+    md = io.write_table(name, [])
+    assert md.splitlines()[0] == committed.read_text().splitlines()[0]
 
 
 def test_dupin_detect_job(spark):

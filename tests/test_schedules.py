@@ -1,9 +1,12 @@
 """Tests for the schedule descriptors and the peeling driver."""
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import DG, DW, FD, TDS, from_edges, kclids, local_engine, peel_local
 from repro.core.schedules import (
+    TOL,
     Schedule,
     alenex,
     bucket,
@@ -46,7 +49,6 @@ def test_bucket_variants():
 
 
 def test_alenex_charges_sort():
-    assert alenex().round_sort
     assert alenex().eps == 0.01
 
 
@@ -80,7 +82,7 @@ class _StuckState:
     def hi(self):
         return 1.0
 
-    def remove(self, step, le=None, lt=None, vid=None, tail=None):
+    def remove(self, step, le=None, vid=None, tail=None):
         return 0, 0, 0
 
     def stamps(self):
@@ -121,7 +123,7 @@ _SMALL = {
     "random30": _random_graph(),
     "core_leaves": _core_with_leaves(),
     # vertex 1 falls from 5 + 1e-12 to 5.0 in step 1, so the bucket heap
-    # holds two valid entries for it in step 2
+    # holds a stale entry for it next to its valid one in step 2
     "tiny_edge": from_edges(4, [0, 1, 2], [1, 2, 3], [1e-12, 5.0, 5.0]),
 }
 
@@ -145,6 +147,40 @@ def test_trace_accounts_for_every_vertex(name, metric, sched):
         assert r.long_tail_peeled == 0
     if not sched.lpo:
         assert r.sparse_trimmed == 0
+
+
+class _Recording(local_engine._Scan):
+    """A threshold state that records each ``remove``'s ``le`` with the
+    density the driver read just before it."""
+
+    def __init__(self, state, stamp):
+        super().__init__(state, stamp)
+        self.calls = []
+
+    def remove(self, step, le=None, vid=None, tail=math.inf):
+        self.calls.append((le, self.g))
+        return super().remove(step, le=le, vid=vid, tail=tail)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lpo_trim_bound_is_the_float_below_tau2(seed):
+    """An LPO trim asks for ``w <= le`` with ``le`` the largest float
+    below ``τ₂ - TOL``: the same set as the strict ``w < τ₂ - TOL``."""
+    g, sched = _random_graph(seed, n=60, m=300), lpo(0.1)
+    state = local_engine.make_state(g, DW)
+    sel = _Recording(state, np.zeros(g.n, dtype=np.int64))
+    log = WorkLog(n=g.n, m=g.m)
+    peel(sel, sched, DW.k, log)
+    factor, tau_max, trims = DW.k * (1 + sched.eps), 0.0, 0
+    for (le, gv), r in zip(sel.calls, log.rounds, strict=True):
+        if r.phase == "peel":
+            tau_max = max(tau_max, gv / factor)
+            continue
+        tau2 = max(tau_max, gv)
+        assert le < tau2 - TOL
+        assert np.nextafter(le, np.inf) == tau2 - TOL
+        trims += 1
+    assert trims > 0
 
 
 @pytest.mark.parametrize("batch", [[], [1], [0], [3, 0, 2], [4, 1, 3, 0, 2]])

@@ -132,6 +132,16 @@ def test_spark_matches_local_schedules_all_on_spark(spark, monkeypatch,
     test_spark_matches_local_schedules(spark, sched_name, sched)
 
 
+@pytest.mark.parametrize("metric", [TDS, kclids(4)], ids=lambda m: m.name)
+def test_spark_charges_the_clique_listing(spark, metric):
+    """A Spark clique run lists its cliques on the driver, as
+    ``peel_local`` does, and charges the listing as the same set-up work."""
+    g = _graph(4, n=20, m=70)  # has 4-cliques
+    want = peel_local(g, metric, dupin(0.1)).worklog.init_work
+    assert want > 0
+    assert peel_spark(spark, g, metric, dupin(0.1)).worklog.init_work == want
+
+
 def test_spark_matches_local_cliques_all_on_spark(spark, monkeypatch):
     monkeypatch.setattr(spark_engine, "_hand_off", _never)
     test_spark_matches_local_tds(spark)
@@ -187,7 +197,8 @@ _DEGENERATE = [
     pytest.param(_CYCLE12, dupin(0.0), id="cycle12-dupin"),
     pytest.param(_K5, lpo(0.0), id="k5-lpo"),
     pytest.param(_EXAMPLE21, bucket_lpo(0.0), id="ex21-bucket_lpo"),
-    # under DW vertex 1 falls by 1e-12 < TOL in step 1: it must peel once
+    # under DW vertex 1 falls by 1e-12 in step 1, leaving the bucket heap
+    # a stale entry for it: it must peel once
     pytest.param(from_edges(4, [0, 1, 2], [1, 2, 3], [1e-12, 5.0, 5.0]),
                  bucket(), id="tiny_edge-bucket"),
 ]
@@ -220,7 +231,8 @@ def test_handoff_rule_does_not_change_the_run(spark, monkeypatch, g, sched,
     """Handing off never, or right at set-up, gives the default run's
     stamps, best set and WorkLog records."""
     want = peel_spark(spark, g, metric, sched)
-    for rule, handoff in ((_never, None), (_always, 0 if g.n else None)):
+    steps = len(want.worklog.rounds)
+    for rule, handoff in ((_never, steps), (_always, 0)):
         monkeypatch.setattr(spark_engine, "_hand_off", rule)
         got = peel_spark(spark, g, metric, sched)
         assert np.array_equal(got.peel_stamp, want.peel_stamp)
@@ -255,7 +267,8 @@ def test_peel_spark_leaves_nothing_cached(spark, monkeypatch, case):
                 peel_spark(spark, g, metric, lpo(0.1))
         else:
             res = peel_spark(spark, g, metric, lpo(0.1))
-            assert (res.worklog.handoff is None) == (case == "all-on-spark")
+            steps = len(res.worklog.rounds)
+            assert (res.worklog.handoff == steps) == (case == "all-on-spark")
         assert _persisted(spark) <= before, metric.name
 
 
